@@ -21,7 +21,6 @@ where the config blob is canonical key-sorted JSON text of the RadarConfig.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import queue
 import socket
@@ -32,7 +31,15 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import ConfigError, DataCube, RadarConfig, RadarError, validate_config
+from .core import (
+    ConfigError,
+    DataCube,
+    RadarConfig,
+    RadarError,
+    decode_jsonable,
+    encode_jsonable,
+    validate_config,
+)
 
 MAGIC = b"ORAD"
 FORMAT_VERSION = 1
@@ -241,7 +248,7 @@ def deinterleave(buf: bytes, cfg: RadarConfig, frame_index: int = 0) -> DataCube
 
 def _config_blob(cfg: RadarConfig) -> bytes:
     return json.dumps(
-        dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":")
+        encode_jsonable(cfg), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
 
 
@@ -250,15 +257,8 @@ def _config_from_blob(blob: bytes) -> RadarConfig:
         d = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"config blob is not valid JSON: {e}") from e
-    field_names = {f.name for f in dataclasses.fields(RadarConfig)}
-    unknown = set(d) - field_names
-    if unknown:
-        raise FormatError(f"config blob has unknown keys {sorted(unknown)}")
-    missing = field_names - set(d) - {"rx_spacing_wavelengths", "tx_spacing_wavelengths"}
-    if missing:
-        raise FormatError(f"config blob missing keys {sorted(missing)}")
     try:
-        return validate_config(RadarConfig(**d))
+        return validate_config(decode_jsonable(RadarConfig, d))
     except ConfigError as e:
         raise FormatError(f"config blob invalid: {e}") from e
 

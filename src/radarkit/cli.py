@@ -11,12 +11,14 @@ import json
 import socket
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .capture import listen, read_capture_file, write_capture_file
-from .core import ConfigError, RadarError
+from .core import ConfigError, RadarError, decode_jsonable
 from .detect import cfar_2d, group_peaks
 from .pipeline import (
     PipelineConfig,
@@ -30,35 +32,30 @@ from .rangedoppler import accumulate_power, doppler_processing, range_processing
 from .simulate import NoiseSpec, PointTarget, packetize, synthesize_capture
 
 
+@dataclass(frozen=True)
+class _SceneFrame:
+    frame: int
+    targets: tuple[PointTarget, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Scene:
+    """Scene file schema; ``n_frames`` defaults to the last listed frame + 1."""
+
+    noise_power: float = 0.0
+    seed: int = 0
+    frames: tuple[_SceneFrame, ...] = ()
+    n_frames: Optional[int] = None
+
+
 def _load_scene(path) -> tuple[list[tuple[int, list[PointTarget]]], NoiseSpec, int]:
     with open(path, "r", encoding="utf-8") as f:
-        d = json.load(f)
-    allowed = {"noise_power", "seed", "frames", "n_frames"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"scene: unknown keys {sorted(unknown)}")
-    noise = NoiseSpec(noise_power=d.get("noise_power", 0.0), seed=d.get("seed", 0))
-    scene = []
-    for entry in d.get("frames", []):
-        unknown = set(entry) - {"frame", "targets"}
-        if unknown:
-            raise ConfigError(f"scene frame entry: unknown keys {sorted(unknown)}")
-        targets = []
-        for t in entry.get("targets", []):
-            unknown = set(t) - {"range_m", "velocity_m_s", "azimuth_deg", "amplitude"}
-            if unknown:
-                raise ConfigError(f"scene target: unknown keys {sorted(unknown)}")
-            targets.append(
-                PointTarget(
-                    range_m=t["range_m"],
-                    radial_velocity_m_s=t.get("velocity_m_s", 0.0),
-                    azimuth_deg=t.get("azimuth_deg", 0.0),
-                    amplitude=t.get("amplitude", 1.0),
-                )
-            )
-        scene.append((entry["frame"], targets))
-    n_frames = d.get("n_frames", max((f for f, _ in scene), default=0) + 1)
-    return scene, noise, n_frames
+        d = decode_jsonable(_Scene, json.load(f), "scene")
+    scene = [(entry.frame, list(entry.targets)) for entry in d.frames]
+    n_frames = d.n_frames
+    if n_frames is None:
+        n_frames = max((f for f, _ in scene), default=0) + 1
+    return scene, NoiseSpec(noise_power=d.noise_power, seed=d.seed), n_frames
 
 
 def _cmd_simulate(args) -> int:

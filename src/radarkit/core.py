@@ -1,4 +1,5 @@
-"""Radar session configuration, derived parameters, and the per-frame data cube.
+"""Radar session configuration, derived parameters, the per-frame data cube,
+and the strict JSON codec for every config dataclass.
 
 Everything downstream (simulator, capture ingest, range-Doppler processing,
 angle estimation, detection) shares the types defined here. All types are
@@ -7,8 +8,12 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -19,8 +24,8 @@ class RadarError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(RadarError):
-    """A radar configuration constraint is violated; message names the field."""
+class ConfigError(RadarError, ValueError):
+    """A configuration constraint is violated; message names the field."""
 
 
 @dataclass(frozen=True)
@@ -216,3 +221,82 @@ class DataCube:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
+
+
+def _json_fields(cls) -> dict[str, dataclasses.Field]:
+    """JSON key -> field; ``metadata={"json": ...}`` renames (str) or hides (False)."""
+    return {
+        f.metadata.get("json", f.name): f
+        for f in dataclasses.fields(cls) if f.metadata.get("json", True)
+    }
+
+
+def _at(key: str, message: str) -> str:
+    return f"{key}: {message}" if key else message
+
+
+def encode_jsonable(obj):
+    """Inverse of ``decode_jsonable``: dataclasses to dicts, enums to values."""
+    if dataclasses.is_dataclass(obj):
+        fields = _json_fields(obj).items()
+        return {k: encode_jsonable(getattr(obj, f.name)) for k, f in fields}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    return obj
+
+
+def decode_jsonable(tp, value, key: str = "", default=None):
+    """Decode parsed JSON ``value`` as type ``tp``, a config dataclass, strictly.
+
+    The dataclass fields and their type hints are the schema. Rejected:
+    a non-object, unknown keys, missing keys of fields without a default,
+    values of the wrong JSON type (a bool is not a number; an int is taken
+    as a float; ``Optional`` allows null) and enum names matching no member
+    (case-insensitively). A nested dataclass is decoded onto the field's
+    default, so its unset fields keep that default's values. ``key``
+    prefixes every message; ``default`` is the instance to decode onto.
+
+    Raises:
+        ConfigError: naming the dotted key, e.g. ``range_cfar.guard_cells``.
+    """
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (inner,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        return decode_jsonable(inner, value, key, default)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(_at(key, f"expected a list, got {value!r}"))
+        item = typing.get_args(tp)[0]
+        return tuple(decode_jsonable(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    if issubclass(tp, enum.Enum):
+        members = {m.value: m for m in tp}
+        if isinstance(value, str) and value.lower() in members:
+            return members[value.lower()]
+        raise ConfigError(_at(key, f"expected one of {list(members)}, got {value!r}"))
+    if not dataclasses.is_dataclass(tp):
+        accepted = (int, float) if tp is float else tp
+        if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+            raise ConfigError(_at(key, f"expected {tp.__name__}, got {value!r}"))
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(_at(key, f"expected an object, got {value!r}"))
+    fields = _json_fields(tp)
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise ConfigError(_at(key, f"unknown keys {sorted(unknown)}"))
+    hints = typing.get_type_hints(tp)
+    kwargs = {}
+    for k, v in value.items():
+        f = fields[k]
+        child = f"{key}.{k}" if key else k
+        kwargs[f.name] = decode_jsonable(hints[f.name], v, child, f.default)
+    onto_default = isinstance(default, tp)
+    required = {k for k, f in fields.items() if f.default is f.default_factory is MISSING}
+    if not onto_default and required - set(value):
+        raise ConfigError(_at(key, f"missing keys {sorted(required - set(value))}"))
+    try:
+        return dataclasses.replace(default, **kwargs) if onto_default else tp(**kwargs)
+    except (RadarError, ValueError) as e:
+        raise ConfigError(_at(key, str(e))) from e

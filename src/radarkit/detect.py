@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +40,8 @@ class CfarParams:
     guard_cells: int = 2
     train_cells: int = 8
     pfa: float = 1e-4
-    mode: CfarMode = CfarMode.RANGE_AXIS
+    # Set per axis by the pipeline, so never a config key.
+    mode: CfarMode = field(default=CfarMode.RANGE_AXIS, metadata={"json": False})
     circular: bool = False
 
     def __post_init__(self):

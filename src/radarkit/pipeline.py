@@ -36,7 +36,15 @@ from .aoa import (
     virtual_array,
 )
 from .capture import DropReport
-from .core import ConfigError, DataCube, RadarConfig, RadarError, validate_config
+from .core import (
+    ConfigError,
+    DataCube,
+    RadarConfig,
+    RadarError,
+    decode_jsonable,
+    encode_jsonable,
+    validate_config,
+)
 from .detect import (
     CfarMode,
     CfarParams,
@@ -89,12 +97,8 @@ class PipelineConfig:
     radar: RadarConfig
     range_window: WindowKind = WindowKind.HANN
     doppler_window: WindowKind = WindowKind.HANN
-    range_cfar: CfarParams = CfarParams(
-        guard_cells=2, train_cells=8, pfa=1e-4, mode=CfarMode.RANGE_AXIS
-    )
-    doppler_cfar: CfarParams = CfarParams(
-        guard_cells=2, train_cells=8, pfa=1e-4, mode=CfarMode.DOPPLER_AXIS
-    )
+    range_cfar: CfarParams = CfarParams(mode=CfarMode.RANGE_AXIS)
+    doppler_cfar: CfarParams = CfarParams(mode=CfarMode.DOPPLER_AXIS)
     aoa_method: AoaMethod = AoaMethod.FFT
     aoa_grid_step_deg: float = 0.1
     aoa_fft_bins: int = 256
@@ -107,106 +111,37 @@ class PipelineConfig:
     seed: int = 0
     output_dir: Optional[str] = None
 
-    def to_jsonable(self) -> dict:
-        def cfar_dict(p: CfarParams) -> dict:
-            return {
-                "guard_cells": p.guard_cells,
-                "train_cells": p.train_cells,
-                "pfa": p.pfa,
-                "circular": p.circular,
-            }
+    def __post_init__(self):
+        # Values that would otherwise fail on frame 0; per-method ones if selected.
+        validate_config(self.radar)
+        n_virtual = self.radar.num_tx * self.radar.num_rx
+        method, n_sources = self.aoa_method, self.music_n_sources
+        for ok, name, allowed in [
+            (self.connectivity in (4, 8), "connectivity", "4 or 8"),
+            (self.max_angles_per_detection >= 1, "max_angles_per_detection", ">= 1"),
+            (0 < self.aoa_grid_step_deg < 90, "aoa_grid_step_deg", "in (0, 90)"),
+            (method is not AoaMethod.FFT or self.aoa_fft_bins >= n_virtual,
+             "aoa_fft_bins", f">= the {n_virtual} virtual rx under fft"),
+            (method is not AoaMethod.MUSIC or n_sources is None
+             or 1 <= n_sources < n_virtual,
+             "music_n_sources", f"null or in [1, {n_virtual - 1}] under music"),
+            (method is not AoaMethod.CAPON or self.capon_loading >= 0,
+             "capon_loading", ">= 0 under capon"),
+        ]:
+            if not ok:
+                raise ConfigError(f"{name} must be {allowed}, got {getattr(self, name)!r}")
 
-        return {
-            "radar": dataclasses.asdict(self.radar),
-            "range_window": self.range_window.value,
-            "doppler_window": self.doppler_window.value,
-            "range_cfar": cfar_dict(self.range_cfar),
-            "doppler_cfar": cfar_dict(self.doppler_cfar),
-            "aoa_method": self.aoa_method.value,
-            "aoa_grid_step_deg": self.aoa_grid_step_deg,
-            "aoa_fft_bins": self.aoa_fft_bins,
-            "music_n_sources": self.music_n_sources,
-            "capon_loading": self.capon_loading,
-            "max_angles_per_detection": self.max_angles_per_detection,
-            "log_gabor": dataclasses.asdict(self.log_gabor),
-            "accumulation": self.accumulation.value,
-            "connectivity": self.connectivity,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+    def to_jsonable(self) -> dict:
+        return encode_jsonable(self)
 
     def config_sha256(self) -> str:
         blob = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _reject_unknown(d: dict, allowed: set[str], context: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-
-
-def _radar_from_dict(d: dict) -> RadarConfig:
-    names = {f.name for f in dataclasses.fields(RadarConfig)}
-    _reject_unknown(d, names, "radar")
-    required = names - {"rx_spacing_wavelengths", "tx_spacing_wavelengths"}
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"radar: missing keys {sorted(missing)}")
-    return validate_config(RadarConfig(**d))
-
-
-def _cfar_from_dict(d: dict, mode: CfarMode, context: str) -> CfarParams:
-    _reject_unknown(d, {"guard_cells", "train_cells", "pfa", "circular"}, context)
-    try:
-        return CfarParams(mode=mode, **d)
-    except ValueError as e:
-        raise ConfigError(f"{context}: {e}") from e
-
-
 def pipeline_config_from_dict(d: dict) -> PipelineConfig:
-    """Build a PipelineConfig from parsed JSON, rejecting unknown keys."""
-    allowed = {
-        "radar", "range_window", "doppler_window", "range_cfar", "doppler_cfar",
-        "aoa_method", "aoa_grid_step_deg", "aoa_fft_bins", "music_n_sources",
-        "capon_loading", "max_angles_per_detection", "log_gabor", "accumulation",
-        "connectivity", "seed", "output_dir",
-    }
-    _reject_unknown(d, allowed, "pipeline config")
-    if "radar" not in d:
-        raise ConfigError("pipeline config: missing 'radar'")
-    kwargs: dict = {"radar": _radar_from_dict(d["radar"])}
-    if "range_window" in d:
-        kwargs["range_window"] = WindowKind.from_name(d["range_window"])
-    if "doppler_window" in d:
-        kwargs["doppler_window"] = WindowKind.from_name(d["doppler_window"])
-    if "range_cfar" in d:
-        kwargs["range_cfar"] = _cfar_from_dict(
-            d["range_cfar"], CfarMode.RANGE_AXIS, "range_cfar"
-        )
-    if "doppler_cfar" in d:
-        kwargs["doppler_cfar"] = _cfar_from_dict(
-            d["doppler_cfar"], CfarMode.DOPPLER_AXIS, "doppler_cfar"
-        )
-    if "aoa_method" in d:
-        try:
-            kwargs["aoa_method"] = AoaMethod(d["aoa_method"])
-        except ValueError:
-            raise ConfigError(f"unknown aoa_method {d['aoa_method']!r}") from None
-    if "log_gabor" in d:
-        _reject_unknown(
-            d["log_gabor"], {"enabled", "f0_cycles", "sigma_ratio"}, "log_gabor"
-        )
-        kwargs["log_gabor"] = LogGaborParams(**d["log_gabor"])
-    if "accumulation" in d:
-        kwargs["accumulation"] = Accumulation.from_name(d["accumulation"])
-    for key in (
-        "aoa_grid_step_deg", "aoa_fft_bins", "music_n_sources", "capon_loading",
-        "max_angles_per_detection", "connectivity", "seed", "output_dir",
-    ):
-        if key in d:
-            kwargs[key] = d[key]
-    return PipelineConfig(**kwargs)
+    """Build a PipelineConfig from parsed JSON; see ``core.decode_jsonable``."""
+    return decode_jsonable(PipelineConfig, d)
 
 
 def load_pipeline_config(path) -> PipelineConfig:

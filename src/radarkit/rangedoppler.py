@@ -29,30 +29,10 @@ class WindowKind(enum.Enum):
     HAMMING = "hamming"
     BLACKMAN = "blackman"
 
-    @classmethod
-    def from_name(cls, name: str) -> "WindowKind":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown window {name!r}; expected one of "
-                f"{[k.value for k in cls]}"
-            ) from None
-
 
 class Accumulation(enum.Enum):
     COHERENT_SUM = "coherent_sum"
     NONCOHERENT_SUM = "noncoherent_sum"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Accumulation":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown accumulation {name!r}; expected one of "
-                f"{[k.value for k in cls]}"
-            ) from None
 
 
 DB_FLOOR = -300.0  # dB floor of power maps; linear 1e-30

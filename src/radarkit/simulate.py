@@ -20,7 +20,7 @@ parallel and still reproduce bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ class PointTarget:
     """One ideal point scatterer with constant amplitude."""
 
     range_m: float
-    radial_velocity_m_s: float = 0.0
+    radial_velocity_m_s: float = field(default=0.0, metadata={"json": "velocity_m_s"})
     azimuth_deg: float = 0.0
     amplitude: float = 1.0
 

@@ -272,3 +272,13 @@ def test_bind_error_on_taken_port():
             CaptureListener(listener.port, cfg, window=2, host="127.0.0.1")
     finally:
         listener.stop()
+
+
+def test_capture_file_non_object_blob(tmp_path, c0):
+    path = tmp_path / "capture.orad"
+    write_capture_file(path, c0, [])
+    raw = path.read_bytes()
+    blob_len = int.from_bytes(raw[6:10], "little")
+    path.write_bytes(raw[:6] + (1).to_bytes(4, "little") + b"5" + raw[10 + blob_len:])
+    with pytest.raises(FormatError, match="object"):
+        read_capture_file(path)
