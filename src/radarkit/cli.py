@@ -143,8 +143,6 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .aoa import doppler_compensate
-
     cfg = load_pipeline_config(args.config)
     dp_target = PointTarget(range_m=10.0, radial_velocity_m_s=0.0, amplitude=1000.0)
     noise = NoiseSpec(noise_power=100.0, seed=cfg.seed)
@@ -170,7 +168,6 @@ def _cmd_bench(args) -> int:
         "cfar_2d", lambda m: cfar_2d(m, cfg.range_cfar, cfg.doppler_cfar), maps
     )
     timed("group_peaks", lambda d: group_peaks(d, cfg.connectivity), det_lists)
-    timed("doppler_compensate", doppler_compensate, rd_cubes)
 
     start = time.perf_counter()
     run_pipeline(cfg, cubes, workers=args.workers)
@@ -240,7 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (RadarError, OSError, json.JSONDecodeError) as e:
+    except (RadarError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(
             json.dumps({"error": type(e).__name__, "message": str(e)}),
             file=sys.stderr,

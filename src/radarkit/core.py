@@ -162,26 +162,30 @@ def derived_params(cfg: RadarConfig) -> DerivedParams:
     )
 
 
-def bin_to_range(bin_index: int, cfg: RadarConfig) -> float:
-    """Convert a range-FFT bin index to meters (bin * range resolution)."""
-    if not 0 <= bin_index < cfg.samples_per_chirp:
-        raise IndexError(
-            f"range bin {bin_index} outside [0, {cfg.samples_per_chirp})"
-        )
+def _check_bins(bins, lo: int, hi: int, axis: str) -> None:
+    b = np.asarray(bins)
+    bad = b[(b < lo) | (b >= hi)]
+    if bad.size:
+        raise IndexError(f"{axis} bin {bad.flat[0]} outside [{lo}, {hi})")
+
+
+def bin_to_range(bin_index, cfg: RadarConfig):
+    """Convert a range-FFT bin index to meters (bin * range resolution).
+
+    ``bin_index`` may also be an integer array, converted element-wise.
+    """
+    _check_bins(bin_index, 0, cfg.samples_per_chirp, "range")
     return bin_index * derived_params(cfg).range_resolution_m
 
 
-def bin_to_velocity(centered_bin: int, cfg: RadarConfig) -> float:
+def bin_to_velocity(centered_bin, cfg: RadarConfig):
     """Convert a centered Doppler bin to m/s (centered_bin * velocity resolution).
 
     Centered bin 0 is zero velocity; valid bins are -N_c/2 .. N_c/2 - 1.
+    ``centered_bin`` may also be an integer array, converted element-wise.
     """
     half = cfg.chirps_per_frame_per_tx // 2
-    if not -half <= centered_bin < cfg.chirps_per_frame_per_tx - half:
-        raise IndexError(
-            f"doppler bin {centered_bin} outside [{-half}, "
-            f"{cfg.chirps_per_frame_per_tx - half})"
-        )
+    _check_bins(centered_bin, -half, cfg.chirps_per_frame_per_tx - half, "doppler")
     return centered_bin * derived_params(cfg).velocity_resolution_m_s
 
 

@@ -254,10 +254,14 @@ def to_point_cloud(
         raise ValueError(
             f"{len(detections)} detections but {len(per_detection_angles)} angle lists"
         )
+    ranges = bin_to_range(np.array([d.range_bin for d in detections], dtype=int), cfg)
+    velocities = bin_to_velocity(
+        np.array([d.doppler_bin for d in detections], dtype=int), cfg
+    )
     points = []
-    for det, angles in zip(detections, per_detection_angles):
-        range_m = bin_to_range(det.range_bin, cfg)
-        velocity = bin_to_velocity(det.doppler_bin, cfg)
+    for det, angles, range_m, velocity in zip(
+        detections, per_detection_angles, ranges.tolist(), velocities.tolist()
+    ):
         for azimuth_deg, _power in angles:
             theta = math.radians(azimuth_deg)
             points.append(

@@ -1,16 +1,19 @@
 """End-to-end processing runs: data cubes in, point clouds and maps out.
 
 Stage order is fixed: range FFT -> doppler FFT -> optional log-Gabor ->
-power map -> 2-d CFAR -> peak grouping -> TDM doppler compensation ->
-per-detection angle estimation -> point cloud. Everything is deterministic
-given the input frames, so runs reproduce byte-identically regardless of
-worker count.
+power map -> 2-d CFAR -> peak grouping -> angle estimation -> point cloud.
+Angle estimation gathers the detections' snapshots from the uncompensated
+range-Doppler cube, applying the TDM doppler compensation as it gathers, and
+estimates all detections of a frame in one batch against the config's
+``AoaPlan``, which is built on first use and shared by every frame.
+Everything is deterministic given the input frames, so runs reproduce
+byte-identically regardless of worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
+import functools
 import hashlib
 import json
 import platform
@@ -22,19 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .aoa import (
-    VirtualArray,
-    covariance,
-    default_angle_grid,
-    doppler_compensate,
-    estimate_source_count,
-    aoa_fft,
-    bartlett,
-    capon,
-    music,
-    peak_angles,
-    virtual_array,
-)
+from .aoa import MAX_ANGLE_BINS, AoaMethod, AoaPlan, aoa_plan, estimate_angles
 from .capture import DropReport
 from .core import (
     ConfigError,
@@ -57,7 +48,6 @@ from .detect import (
 )
 from .rangedoppler import (
     Accumulation,
-    RangeDopplerCube,
     WindowKind,
     accumulate_power,
     doppler_processing,
@@ -74,13 +64,6 @@ class PipelineError(RadarError):
     def __init__(self, frame_index: int, message: str):
         super().__init__(f"frame {frame_index}: {message}")
         self.frame_index = frame_index
-
-
-class AoaMethod(enum.Enum):
-    FFT = "fft"
-    BARTLETT = "bartlett"
-    CAPON = "capon"
-    MUSIC = "music"
 
 
 @dataclass(frozen=True)
@@ -116,12 +99,16 @@ class PipelineConfig:
         validate_config(self.radar)
         n_virtual = self.radar.num_tx * self.radar.num_rx
         method, n_sources = self.aoa_method, self.music_n_sources
+        min_step = 180.0 / (MAX_ANGLE_BINS + 1)  # at most MAX_ANGLE_BINS grid angles
         for ok, name, allowed in [
             (self.connectivity in (4, 8), "connectivity", "4 or 8"),
             (self.max_angles_per_detection >= 1, "max_angles_per_detection", ">= 1"),
             (0 < self.aoa_grid_step_deg < 90, "aoa_grid_step_deg", "in (0, 90)"),
-            (method is not AoaMethod.FFT or self.aoa_fft_bins >= n_virtual,
-             "aoa_fft_bins", f">= the {n_virtual} virtual rx under fft"),
+            (method is AoaMethod.FFT or self.aoa_grid_step_deg >= min_step,
+             "aoa_grid_step_deg",
+             f">= 180/{MAX_ANGLE_BINS + 1} ({MAX_ANGLE_BINS} grid angles) under {method.value}"),
+            (method is not AoaMethod.FFT or n_virtual <= self.aoa_fft_bins <= MAX_ANGLE_BINS,
+             "aoa_fft_bins", f"in [{n_virtual} (virtual rx), {MAX_ANGLE_BINS}] under fft"),
             (method is not AoaMethod.MUSIC or n_sources is None
              or 1 <= n_sources < n_virtual,
              "music_n_sources", f"null or in [1, {n_virtual - 1}] under music"),
@@ -130,6 +117,12 @@ class PipelineConfig:
         ]:
             if not ok:
                 raise ConfigError(f"{name} must be {allowed}, got {getattr(self, name)!r}")
+
+    @functools.cached_property
+    def aoa_plan(self) -> AoaPlan:
+        """Frame-invariant angle-estimation arrays, built on first use."""
+        grid_step = None if self.aoa_method is AoaMethod.FFT else self.aoa_grid_step_deg
+        return aoa_plan(self.radar, grid_step)
 
     def to_jsonable(self) -> dict:
         return encode_jsonable(self)
@@ -159,41 +152,8 @@ class FrameResult:
     drop_report: Optional[DropReport] = None
 
 
-def _estimate_angles(
-    cfg: PipelineConfig,
-    compensated: RangeDopplerCube,
-    array: VirtualArray,
-    grid: np.ndarray,
-    detections,
-) -> list[list[tuple[float, float]]]:
-    angle_lists = []
-    n_doppler = compensated.num_doppler_bins
-    for det in detections:
-        row = det.doppler_bin + n_doppler // 2
-        if cfg.aoa_method is AoaMethod.FFT:
-            snapshot = compensated.data[row, :, det.range_bin]
-            spectrum = aoa_fft(snapshot, array, cfg.aoa_fft_bins)
-        else:
-            snapshots = compensated.data[:, :, det.range_bin]
-            loading = cfg.capon_loading if cfg.aoa_method is AoaMethod.CAPON else 0.0
-            r = covariance(snapshots, loading=loading)
-            if cfg.aoa_method is AoaMethod.BARTLETT:
-                spectrum = bartlett(r, array, grid)
-            elif cfg.aoa_method is AoaMethod.CAPON:
-                spectrum = capon(r, array, grid)
-            else:
-                n_sources = cfg.music_n_sources
-                if n_sources is None:
-                    n_sources = min(max(estimate_source_count(r), 1), len(array) - 1)
-                spectrum = music(r, array, n_sources, grid)
-        angle_lists.append(peak_angles(spectrum, cfg.max_angles_per_detection))
-    return angle_lists
-
-
 def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     """Run the full stage chain on one frame."""
-    array = virtual_array(cfg.radar)
-    grid = default_angle_grid(cfg.aoa_grid_step_deg)
     range_cube = range_processing(cube, cfg.range_window)
     rd = doppler_processing(range_cube, cfg.radar, cfg.doppler_window)
     linear = accumulate_power(rd, cfg.accumulation)
@@ -205,8 +165,17 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     detections = group_peaks(
         cfar_2d(linear, cfg.range_cfar, cfg.doppler_cfar), cfg.connectivity
     )
-    compensated = doppler_compensate(rd)
-    angle_lists = _estimate_angles(cfg, compensated, array, grid, detections)
+    angle_lists = estimate_angles(
+        cfg.aoa_plan,
+        rd,
+        [d.doppler_bin for d in detections],
+        [d.range_bin for d in detections],
+        cfg.aoa_method,
+        fft_bins=cfg.aoa_fft_bins,
+        music_n_sources=cfg.music_n_sources,
+        capon_loading=cfg.capon_loading,
+        max_peaks=cfg.max_angles_per_detection,
+    )
     cloud = to_point_cloud(detections, angle_lists, cfg.radar, cube.frame_index)
     return FrameResult(
         frame_index=cube.frame_index, point_cloud=cloud, power_map_db=map_db

@@ -16,6 +16,7 @@ from radarkit import (
     pipeline_config_from_dict,
     write_capture_file,
 )
+from radarkit.aoa import MAX_ANGLE_BINS
 from radarkit.capture import FORMAT_VERSION, MAGIC
 from radarkit.cli import main
 from radarkit.detect import CfarMode, CfarParams
@@ -76,7 +77,8 @@ def pipeline_configs(draw):
         range_cfar=draw(_cfar(CfarMode.RANGE_AXIS)),
         doppler_cfar=draw(_cfar(CfarMode.DOPPLER_AXIS)),
         aoa_method=draw(st.sampled_from(AoaMethod)),
-        aoa_grid_step_deg=draw(_floats(0.0, 90.0, exclude_min=True, exclude_max=True)),
+        # Grid steps below 180/(MAX_ANGLE_BINS + 1) are rejected under the grid methods.
+        aoa_grid_step_deg=draw(_floats(180.0 / (MAX_ANGLE_BINS + 1), 90.0, exclude_max=True)),
         aoa_fft_bins=draw(st.integers(n_virtual, 1024)),
         music_n_sources=draw(n_sources),
         # An int where a float is declared must survive as an int: the
@@ -111,6 +113,10 @@ def test_codec_round_trip(cfg):
         {"aoa_method": "capon", "capon_loading": 0},
         {"capon_loading": -1.0},
         {"connectivity": 4, "range_window": "HAMMING", "aoa_method": "Bartlett"},
+        {"aoa_fft_bins": MAX_ANGLE_BINS},
+        {"aoa_method": "capon", "aoa_grid_step_deg": 180.0 / (MAX_ANGLE_BINS + 1)},
+        {"aoa_grid_step_deg": 1e-9},
+        {"aoa_fft_bins": 10**12, "aoa_method": "music"},
     ],
 )
 def test_load_time_checks_accept_boundaries_and_unselected_methods(overrides):
@@ -158,6 +164,14 @@ MALFORMED = {
     "fft_bins_str": ({"aoa_fft_bins": "256"}, None, None, "ConfigError", "aoa_fft_bins"),
     "fft_bins_below_virtual_rx": ({"aoa_fft_bins": 7}, None, None,
                                   "ConfigError", "aoa_fft_bins"),
+    "fft_bins_above_max": ({"aoa_fft_bins": MAX_ANGLE_BINS + 1}, None, None,
+                           "ConfigError", "aoa_fft_bins"),
+    "fft_bins_huge": ({"aoa_fft_bins": 10**12}, None, None, "ConfigError", "aoa_fft_bins"),
+    "grid_step_tiny": ({"aoa_method": "music", "aoa_grid_step_deg": 1e-9}, None, None,
+                       "ConfigError", "aoa_grid_step_deg"),
+    "grid_step_one_angle_too_many": (
+        {"aoa_method": "bartlett", "aoa_grid_step_deg": 180.0 / (MAX_ANGLE_BINS + 2)},
+        None, None, "ConfigError", "aoa_grid_step_deg"),
     "music_sources_zero": ({"aoa_method": "music", "music_n_sources": 0}, None, None,
                            "ConfigError", "music_n_sources"),
     "music_sources_all_rx": ({"aoa_method": "music", "music_n_sources": 8}, None, None,
@@ -194,3 +208,17 @@ def test_cli_malformed_input_is_one_json_line(
     err = json.loads(lines[0])
     assert err["error"] == error
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("which", ["config", "scene"])
+def test_cli_non_utf8_input_is_one_json_line(tmp_path, capsys, which):
+    paths = {"config": tmp_path / "pipeline.json", "scene": tmp_path / "scene.json"}
+    paths["config"].write_text(json.dumps(pipeline_dict()), encoding="utf-8")
+    paths["scene"].write_text(json.dumps(scene_dict(n_frames=1)), encoding="utf-8")
+    paths[which].write_bytes(b"\xff\xfe{}")
+    argv = ["simulate", "--config", str(paths["config"]), "--scene", str(paths["scene"]),
+            "--out", str(tmp_path / "c.orad")]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UnicodeDecodeError"
