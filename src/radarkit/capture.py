@@ -124,7 +124,7 @@ class PacketReassembler:
 
     def __init__(self, window: int):
         if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+            raise ConfigError(f"window must be >= 1, got {window}")
         self.window = window
         self._pending: dict[int, CapturePacket] = {}
         self._next_seq = 0
@@ -228,10 +228,9 @@ def serialize_cube(cube: DataCube) -> bytes:
 
     Quantization: round to nearest (ties to even), saturate to int16 range.
     """
-    i = np.clip(np.rint(cube.data.real), -32768, 32767).astype("<i2")
-    q = np.clip(np.rint(cube.data.imag), -32768, 32767).astype("<i2")
-    interleaved = np.stack([i, q], axis=-1)
-    return interleaved.tobytes()
+    iq = np.rint(cube.data.view(np.float64))  # I, Q interleaved along samples
+    np.clip(iq, -32768, 32767, out=iq)
+    return iq.astype("<i2").tobytes()
 
 
 def deinterleave(buf: bytes, cfg: RadarConfig, frame_index: int = 0) -> DataCube:
@@ -240,9 +239,10 @@ def deinterleave(buf: bytes, cfg: RadarConfig, frame_index: int = 0) -> DataCube
     expected = frame_byte_count(cfg)
     if len(buf) != expected:
         raise SizeError(f"expected {expected} frame bytes, got {len(buf)}")
-    flat = np.frombuffer(buf, dtype="<i2").astype(np.float64)
-    iq = flat.reshape(cfg.chirps_per_frame, cfg.num_rx, cfg.samples_per_chirp, 2)
-    data = iq[..., 0] + 1j * iq[..., 1]
+    flat = np.frombuffer(buf, dtype="<i2").astype(np.float64)  # I, Q, I, Q, ...
+    data = flat.view(np.complex128).reshape(
+        cfg.chirps_per_frame, cfg.num_rx, cfg.samples_per_chirp
+    )
     return DataCube(data=data, frame_index=frame_index, config=cfg)
 
 
@@ -350,7 +350,7 @@ class CaptureListener:
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 23)
             self._sock.bind((host, port))
-        except OSError as e:
+        except (OSError, OverflowError) as e:
             self._sock.close()
             raise BindError(f"cannot bind UDP {host}:{port}: {e}") from e
         self._sock.settimeout(0.2)

@@ -11,7 +11,7 @@ import json
 import socket
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -19,16 +19,15 @@ import numpy as np
 
 from .capture import listen, read_capture_file, write_capture_file
 from .core import ConfigError, RadarError, decode_jsonable
-from .detect import cfar_2d, group_peaks
 from .pipeline import (
     PipelineConfig,
     load_pipeline_config,
+    process_frame,
     run_pipeline,
     write_drop_reports,
     write_frame_outputs,
     write_run_manifest,
 )
-from .rangedoppler import accumulate_power, doppler_processing, range_processing
 from .simulate import NoiseSpec, PointTarget, packetize, synthesize_capture
 
 
@@ -103,7 +102,7 @@ def _cmd_listen(args) -> int:
         idle_timeout_s=args.idle_timeout_s,
     )
     for cube, report in stream:
-        result = run_pipeline(cfg, [cube], drop_reports=[report])[0]
+        result = replace(process_frame(cfg, cube), drop_report=report)
         write_frame_outputs(out, result)
         results.append(result)
         print(
@@ -116,14 +115,22 @@ def _cmd_listen(args) -> int:
     return 0
 
 
+def _parse_dest(dest: str) -> tuple[str, int]:
+    """``host:port`` (host defaults to 127.0.0.1) with a port in 1-65535."""
+    host, _, port = dest.rpartition(":")
+    if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+        raise ConfigError(f"--dest must be host:port with a port in 1-65535, got {dest!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def _cmd_replay(args) -> int:
+    dest = _parse_dest(args.dest)
     _, cubes = read_capture_file(args.infile)
     packets = packetize(cubes)
     rng = np.random.default_rng(args.seed)
     if args.reorder > 0:
         keys = np.arange(len(packets)) + rng.uniform(0.0, args.reorder, len(packets))
         packets = [packets[i] for i in np.argsort(keys, kind="stable")]
-    host, _, port = args.dest.rpartition(":")
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 23)
     sent = dropped = 0
@@ -132,7 +139,7 @@ def _cmd_replay(args) -> int:
             if args.loss > 0 and rng.random() < args.loss:
                 dropped += 1
                 continue
-            sock.sendto(pkt.encode(), (host or "127.0.0.1", int(port)))
+            sock.sendto(pkt.encode(), dest)
             sent += 1
             if i % 64 == 63:
                 time.sleep(0.0005)  # keep loopback receive buffers ahead
@@ -149,29 +156,13 @@ def _cmd_bench(args) -> int:
     cubes = synthesize_capture(
         cfg.radar, [(i, [dp_target]) for i in range(args.frames)], noise, args.frames
     )
-    timings: dict[str, float] = {}
-
-    def timed(name, fn, items):
-        start = time.perf_counter()
-        out = [fn(x) for x in items]
-        timings[name] = (time.perf_counter() - start) / len(items) * 1e3
-        return out
-
-    range_cubes = timed("range_fft", lambda c: range_processing(c, cfg.range_window), cubes)
-    rd_cubes = timed(
-        "doppler_fft",
-        lambda rc: doppler_processing(rc, cfg.radar, cfg.doppler_window),
-        range_cubes,
-    )
-    maps = timed("power_map", lambda rd: accumulate_power(rd, cfg.accumulation), rd_cubes)
-    det_lists = timed(
-        "cfar_2d", lambda m: cfar_2d(m, cfg.range_cfar, cfg.doppler_cfar), maps
-    )
-    timed("group_peaks", lambda d: group_peaks(d, cfg.connectivity), det_lists)
-
     start = time.perf_counter()
-    run_pipeline(cfg, cubes, workers=args.workers)
+    results = run_pipeline(cfg, cubes, workers=args.workers)
     total_ms = (time.perf_counter() - start) / len(cubes) * 1e3
+    timings = {
+        name: sum(r.stage_ms[name] for r in results) / len(results)
+        for name in results[0].stage_ms
+    }
     timings["end_to_end"] = total_ms
 
     lines = [f"{'stage':<20} {'mean ms/frame':>14}"]

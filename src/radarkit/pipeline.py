@@ -6,6 +6,8 @@ Angle estimation gathers the detections' snapshots from the uncompensated
 range-Doppler cube, applying the TDM doppler compensation as it gathers, and
 estimates all detections of a frame in one batch against the config's
 ``AoaPlan``, which is built on first use and shared by every frame.
+``process_frame`` is the only implementation of the chain: it records each
+stage's wall time and reports any stage failure as ``PipelineError``.
 Everything is deterministic given the input frames, so runs reproduce
 byte-identically regardless of worker count.
 """
@@ -17,10 +19,11 @@ import functools
 import hashlib
 import json
 import platform
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -144,79 +147,81 @@ def load_pipeline_config(path) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class FrameResult:
-    """Per-frame pipeline output."""
+    """Per-frame pipeline output.
+
+    ``stage_ms`` maps each stage of ``process_frame``, in run order, to its
+    wall time in milliseconds.
+    """
 
     frame_index: int
     point_cloud: PointCloud
     power_map_db: np.ndarray = field(repr=False)
     drop_report: Optional[DropReport] = None
+    stage_ms: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
+
+
+_STAGES = ("range_fft", "doppler_fft", "power_map", "cfar_2d", "group_peaks", "aoa",
+           "point_cloud")
 
 
 def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
-    """Run the full stage chain on one frame."""
-    range_cube = range_processing(cube, cfg.range_window)
-    rd = doppler_processing(range_cube, cfg.radar, cfg.doppler_window)
-    linear = accumulate_power(rd, cfg.accumulation)
-    if cfg.log_gabor.enabled:
-        linear = log_gabor_filter(
-            linear, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio
+    """Run the full stage chain on one frame, timing each stage.
+
+    Any stage failure is raised as PipelineError carrying the frame index.
+    """
+    marks = [time.perf_counter()]
+    try:
+        range_cube = range_processing(cube, cfg.range_window)
+        marks.append(time.perf_counter())
+        rd = doppler_processing(range_cube, cfg.radar, cfg.doppler_window)
+        marks.append(time.perf_counter())
+        linear = accumulate_power(rd, cfg.accumulation)
+        if cfg.log_gabor.enabled:
+            linear = log_gabor_filter(
+                linear, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio
+            )
+        map_db = to_db(linear)
+        marks.append(time.perf_counter())
+        cells = cfar_2d(linear, cfg.range_cfar, cfg.doppler_cfar)
+        marks.append(time.perf_counter())
+        detections = group_peaks(cells, cfg.connectivity)
+        marks.append(time.perf_counter())
+        angle_lists = estimate_angles(
+            cfg.aoa_plan,
+            rd,
+            [d.doppler_bin for d in detections],
+            [d.range_bin for d in detections],
+            cfg.aoa_method,
+            fft_bins=cfg.aoa_fft_bins,
+            music_n_sources=cfg.music_n_sources,
+            capon_loading=cfg.capon_loading,
+            max_peaks=cfg.max_angles_per_detection,
         )
-    map_db = to_db(linear)
-    detections = group_peaks(
-        cfar_2d(linear, cfg.range_cfar, cfg.doppler_cfar), cfg.connectivity
-    )
-    angle_lists = estimate_angles(
-        cfg.aoa_plan,
-        rd,
-        [d.doppler_bin for d in detections],
-        [d.range_bin for d in detections],
-        cfg.aoa_method,
-        fft_bins=cfg.aoa_fft_bins,
-        music_n_sources=cfg.music_n_sources,
-        capon_loading=cfg.capon_loading,
-        max_peaks=cfg.max_angles_per_detection,
-    )
-    cloud = to_point_cloud(detections, angle_lists, cfg.radar, cube.frame_index)
+        marks.append(time.perf_counter())
+        cloud = to_point_cloud(detections, angle_lists, cfg.radar, cube.frame_index)
+        marks.append(time.perf_counter())
+    except Exception as e:
+        raise PipelineError(cube.frame_index, str(e)) from e
     return FrameResult(
-        frame_index=cube.frame_index, point_cloud=cloud, power_map_db=map_db
+        frame_index=cube.frame_index,
+        point_cloud=cloud,
+        power_map_db=map_db,
+        stage_ms={name: (end - start) * 1e3
+                  for name, start, end in zip(_STAGES, marks, marks[1:])},
     )
 
 
 def run_pipeline(
-    cfg: PipelineConfig,
-    frames: Sequence[DataCube],
-    drop_reports: Optional[Sequence[Optional[DropReport]]] = None,
-    workers: int = 1,
+    cfg: PipelineConfig, frames: Iterable[DataCube], workers: int = 1
 ) -> list[FrameResult]:
-    """Process frames in input order, optionally on a thread pool.
+    """``process_frame`` over frames in input order, optionally on a thread pool.
 
-    Output order always matches input order and results are identical for
-    any worker count. Stage failures are re-raised as PipelineError with the
-    offending frame index attached.
+    Results are identical for any worker count.
     """
-    frames = list(frames)
-    if drop_reports is None:
-        drop_reports = [None] * len(frames)
-    if len(drop_reports) != len(frames):
-        raise ValueError("drop_reports must match frames in length")
-
-    def job(cube: DataCube) -> FrameResult:
-        try:
-            return process_frame(cfg, cube)
-        except PipelineError:
-            raise
-        except Exception as e:
-            raise PipelineError(cube.frame_index, str(e)) from e
-
-    if workers > 1 and len(frames) > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, frames))
-    else:
-        results = [job(cube) for cube in frames]
-    return [
-        dataclasses.replace(res, drop_report=report)
-        for res, report in zip(results, drop_reports)
-    ]
+            return list(pool.map(functools.partial(process_frame, cfg), frames))
+    return [process_frame(cfg, cube) for cube in frames]
 
 
 def write_frame_outputs(out_dir, result: FrameResult) -> None:

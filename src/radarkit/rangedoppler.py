@@ -190,10 +190,7 @@ def power_map(
 
 def write_power_map_csv(map_db: np.ndarray, path) -> None:
     """Plain-text CSV of a dB power map, one row per doppler bin."""
-    with open(path, "w", encoding="utf-8") as f:
-        for row in np.atleast_2d(map_db):
-            f.write(",".join(f"{v:.6g}" for v in row))
-            f.write("\n")
+    np.savetxt(path, np.atleast_2d(map_db), fmt="%.6g", delimiter=",")
 
 
 def write_power_map_pgm(map_db: np.ndarray, path) -> None:

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarkit import (
     BindError,
@@ -52,6 +54,36 @@ def test_reassemble_zero_fills_gap_extent():
     assert report.packets_received == 5
     # Conservation: received + dropped = max seq seen + 1.
     assert report.packets_received + report.packets_dropped == 6
+
+
+@given(
+    window=st.integers(1, 6),
+    payloads=st.lists(st.binary(max_size=6), min_size=1, max_size=40),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_reassembler_recovers_any_bounded_reorder_and_loss(window, payloads, data):
+    n = len(payloads)
+    # Any arrival order in which no seq is displaced by more than `window`:
+    # each position takes an unplaced seq within `window` of it, and must take
+    # seq p - window if that one is still unplaced.
+    order, unplaced = [], set(range(n))
+    for p in range(n):
+        if p - window in unplaced:
+            seq = p - window
+        else:
+            seq = data.draw(st.sampled_from(sorted(
+                s for s in unplaced if s <= p + window)))
+        unplaced.remove(seq)
+        order.append(seq)
+    lost = data.draw(st.sets(st.integers(0, n - 2)) if n > 1 else st.just(set()))
+    pkts = _packets(payloads)
+    stream, report = reassemble(
+        [pkts[s] for s in order if s not in lost], window=window)
+    assert stream == b"".join(
+        bytes(len(p)) if s in lost else p for s, p in enumerate(payloads))
+    assert report.packets_received == n - len(lost)
+    assert report.packets_received + report.packets_dropped == n
 
 
 def test_reassemble_empty_stream():

@@ -13,11 +13,12 @@ from radarkit import (
     PointTarget,
     derived_params,
     pipeline_config_from_dict,
+    process_frame,
     run_pipeline,
     synthesize_capture,
     synthesize_frame,
 )
-from radarkit.capture import CaptureListener
+from radarkit.capture import CaptureListener, write_capture_file
 from radarkit.cli import main
 from radarkit.detect import CfarMode, CfarParams
 
@@ -188,6 +189,16 @@ def test_run_pipeline_attaches_frame_index_to_errors(c0):
         run_pipeline(bad, frames[1:])
 
 
+def test_process_frame_raises_pipeline_error_with_frame_index(c0):
+    bad = PipelineConfig(
+        radar=c0,
+        doppler_cfar=CfarParams(guard_cells=30, train_cells=40, pfa=1e-3),
+    )
+    with pytest.raises(PipelineError, match="frame 1") as e:
+        process_frame(bad, _one_target_frames(2)[1])
+    assert e.value.frame_index == 1
+
+
 def _write_json(path, d):
     path.write_text(json.dumps(d), encoding="utf-8")
 
@@ -333,10 +344,53 @@ def test_cli_bench_table(tmp_path, capsys):
     _write_json(cfg_path, pipeline_dict(output_dir=str(tmp_path / "benchout")))
     assert main(["bench", "--config", str(cfg_path), "--frames", "4"]) == 0
     out = capsys.readouterr().out
-    for stage in ("range_fft", "doppler_fft", "power_map", "cfar_2d", "end_to_end"):
+    for stage in ("range_fft", "doppler_fft", "power_map", "cfar_2d", "group_peaks",
+                  "aoa", "point_cloud", "end_to_end"):
         assert stage in out
     assert "frames/s" in out
     assert (tmp_path / "benchout" / "bench.txt").exists()
+
+
+def test_cli_bench_stage_rows_sum_to_at_most_end_to_end(tmp_path, capsys):
+    cfg_path = tmp_path / "pipeline.json"
+    _write_json(cfg_path, pipeline_dict())
+    assert main(["bench", "--config", str(cfg_path), "--frames", "4",
+                 "--workers", "1"]) == 0
+    rows = dict(
+        line.split() for line in capsys.readouterr().out.splitlines()[1:-1]
+    )
+    end_to_end = float(rows.pop("end_to_end"))
+    assert list(rows) == ["range_fft", "doppler_fft", "power_map", "cfar_2d",
+                          "group_peaks", "aoa", "point_cloud"]
+    # Each row is printed rounded to 0.001 ms.
+    assert sum(float(ms) for ms in rows.values()) <= end_to_end + 0.0005 * len(rows)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["replay", "--dest", "localhost"], "ConfigError"),
+        (["replay", "--dest", "127.0.0.1:70000"], "ConfigError"),
+        (["listen", "--port", "70000"], "BindError"),
+        (["listen", "--port", "0", "--window", "0"], "ConfigError"),
+    ],
+    ids=["dest_without_port", "dest_port_too_big", "listen_port_too_big",
+         "listen_window_zero"],
+)
+def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
+    if argv[0] == "replay":
+        capture_path = tmp_path / "capture.orad"
+        write_capture_file(capture_path, C0, [])
+        argv = argv + ["--in", str(capture_path)]
+    else:
+        cfg_path = tmp_path / "pipeline.json"
+        _write_json(cfg_path, pipeline_dict())
+        argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "live"),
+                       "--frames", "1", "--idle-timeout-s", "0.1"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
 
 
 def test_scene_unknown_keys_rejected(tmp_path, capsys):
