@@ -11,7 +11,7 @@ import json
 import socket
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -93,7 +93,7 @@ def _cmd_process(args) -> int:
 def _cmd_listen(args) -> int:
     cfg = load_pipeline_config(args.config)
     out = _resolve_out(cfg, args.out)
-    results = []
+    reports = []
     stream = listen(
         args.port,
         cfg.radar,
@@ -102,16 +102,16 @@ def _cmd_listen(args) -> int:
         idle_timeout_s=args.idle_timeout_s,
     )
     for cube, report in stream:
-        result = replace(process_frame(cfg, cube), drop_report=report)
+        result = process_frame(cfg, cube)
         write_frame_outputs(out, result)
-        results.append(result)
+        reports.append((result.frame_index, report))
         print(
             f"frame {result.frame_index}: {len(result.point_cloud)} points, "
             f"{report.packets_dropped} packets dropped"
         )
-    write_drop_reports(out, results)
+    write_drop_reports(out, reports)
     write_run_manifest(out, cfg)
-    print(f"captured {len(results)} frames -> {out}")
+    print(f"captured {len(reports)} frames -> {out}")
     return 0
 
 

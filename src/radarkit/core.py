@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import types
 import typing
@@ -235,6 +236,12 @@ def _json_fields(cls) -> dict[str, dataclasses.Field]:
     }
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``typing.get_type_hints`` of a dataclass, resolved once per class."""
+    return typing.get_type_hints(cls)
+
+
 def _at(key: str, message: str) -> str:
     return f"{key}: {message}" if key else message
 
@@ -290,7 +297,7 @@ def decode_jsonable(tp, value, key: str = "", default=None):
     unknown = set(value) - set(fields)
     if unknown:
         raise ConfigError(_at(key, f"unknown keys {sorted(unknown)}"))
-    hints = typing.get_type_hints(tp)
+    hints = _type_hints(tp)
     kwargs = {}
     for k, v in value.items():
         f = fields[k]

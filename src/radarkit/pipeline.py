@@ -156,7 +156,6 @@ class FrameResult:
     frame_index: int
     point_cloud: PointCloud
     power_map_db: np.ndarray = field(repr=False)
-    drop_report: Optional[DropReport] = None
     stage_ms: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -234,14 +233,13 @@ def write_frame_outputs(out_dir, result: FrameResult) -> None:
     write_power_map_pgm(result.power_map_db, out / f"frame_{i}_rd.pgm")
 
 
-def write_drop_reports(out_dir, results: Sequence[FrameResult]) -> None:
-    """drops.json: per-frame loss accounting for frames that have any."""
+def write_drop_reports(out_dir, reports: Sequence[tuple[int, DropReport]]) -> None:
+    """drops.json: per-frame loss accounting from (frame index, report) pairs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = [
-        {"frame": r.frame_index, **dataclasses.asdict(r.drop_report)}
-        for r in results
-        if r.drop_report is not None
+        {"frame": frame_index, **dataclasses.asdict(report)}
+        for frame_index, report in reports
     ]
     with open(out / "drops.json", "w", encoding="utf-8") as f:
         json.dump(entries, f, indent=2, sort_keys=True)

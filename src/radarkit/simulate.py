@@ -12,9 +12,22 @@ complex circular Gaussian. Range migration within a frame and amplitude
 falloff with range are deliberately ignored so every expectation stays
 analytically checkable.
 
+Synthesis is separable: the phase is a fast-time term ``f_b k / f_s`` plus a
+slow-time x spatial term ``f_d q T_c + (t d_tx + r d_rx) sin(theta)``, so each
+target's samples are the outer product of a (chirps * rx) phasor and an
+N_s phasor, and the whole frame is one matrix product
+
+    (A * exp(j 2 pi slow_spatial))  @  exp(j 2 pi fast)
+     (chirps * rx, targets)           (targets, N_s)
+
+reshaped to the cube. T targets cost T (chirps * rx + N_s) complex
+exponentials instead of T * chirps * rx * N_s. The empty scene is an exact
+zero cube.
+
 Noise determinism: the generator is numpy's PCG64 (``np.random.default_rng``)
 seeded per frame with seed XOR frame_index, so frames can be synthesized in
-parallel and still reproduce bit-identically.
+parallel and still reproduce bit-identically. The real parts are drawn
+first, then the imaginary parts, each scaled by sqrt(noise_power / 2).
 """
 
 from __future__ import annotations
@@ -102,31 +115,35 @@ def synthesize_frame(
     shape = (n_chirps, cfg.num_rx, cfg.samples_per_chirp)
     k = np.arange(cfg.samples_per_chirp)
     q = np.arange(n_chirps)
-    tx_of_chirp = q % cfg.num_tx
     r = np.arange(cfg.num_rx)
+    # (chirps, rx): position of each chirp's TX plus each RX, in wavelengths.
+    antenna = (
+        (q % cfg.num_tx)[:, np.newaxis] * cfg.tx_spacing_wavelengths
+        + r[np.newaxis, :] * cfg.rx_spacing_wavelengths
+    )
 
-    data = np.zeros(shape, dtype=np.complex128)
-    for tgt in targets:
-        f_beat = 2.0 * cfg.chirp_slope_hz_per_s * tgt.range_m / SPEED_OF_LIGHT
-        f_doppler = 2.0 * tgt.radial_velocity_m_s * cfg.start_freq_hz / SPEED_OF_LIGHT
-        sin_az = math.sin(math.radians(tgt.azimuth_deg))
-        fast = f_beat * k / cfg.sample_rate_hz
-        slow = f_doppler * q * cfg.chirp_period_s
-        spatial = (
-            tx_of_chirp[:, np.newaxis] * cfg.tx_spacing_wavelengths
-            + r[np.newaxis, :] * cfg.rx_spacing_wavelengths
-        ) * sin_az
-        phase = (
-            slow[:, np.newaxis, np.newaxis]
-            + spatial[:, :, np.newaxis]
-            + fast[np.newaxis, np.newaxis, :]
-        )
-        data += tgt.amplitude * np.exp(2j * np.pi * phase)
+    range_m, velocity, azimuth_deg, amplitude = np.array(
+        [(t.range_m, t.radial_velocity_m_s, t.azimuth_deg, t.amplitude) for t in targets],
+        dtype=np.float64,
+    ).reshape(-1, 4).T
+    n_targets = len(range_m)
+    f_beat = 2.0 * cfg.chirp_slope_hz_per_s * range_m / SPEED_OF_LIGHT
+    f_doppler = 2.0 * velocity * cfg.start_freq_hz / SPEED_OF_LIGHT
+    sin_az = np.sin(np.radians(azimuth_deg))
+    # (targets, samples): the fast-time phasor of each target.
+    fast = np.exp(2j * np.pi * (f_beat[:, np.newaxis] * k / cfg.sample_rate_hz))
+    # (chirps, rx, targets): amplitude times the slow-time x spatial phasor.
+    slow = f_doppler * q[:, np.newaxis] * cfg.chirp_period_s
+    weights = amplitude * np.exp(
+        2j * np.pi * (slow[:, np.newaxis, :] + antenna[:, :, np.newaxis] * sin_az)
+    )
+    data = (weights.reshape(n_chirps * cfg.num_rx, n_targets) @ fast).reshape(shape)
 
     if noise.noise_power > 0:
         rng = np.random.default_rng((noise.seed ^ frame_index) & _SEED_MASK)
         sigma = math.sqrt(noise.noise_power / 2.0)
-        data += sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        data.real += sigma * rng.standard_normal(shape)
+        data.imag += sigma * rng.standard_normal(shape)
     return DataCube(data=data, frame_index=frame_index, config=cfg)
 
 

@@ -1,5 +1,12 @@
+import dataclasses
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarkit import (
     NoiseSpec,
@@ -13,9 +20,10 @@ from radarkit import (
     synthesize_capture,
     synthesize_frame,
 )
-from radarkit.core import DataCube
+from radarkit.cli import main
+from radarkit.core import SPEED_OF_LIGHT, DataCube, derived_params, encode_jsonable
 
-from conftest import random_int_cube_data, small_config
+from conftest import C0, random_int_cube_data, small_config
 
 NO_NOISE = NoiseSpec(0.0, 0)
 
@@ -177,3 +185,123 @@ def test_packetize_reassemble_deinterleave_round_trip():
     recovered = deinterleave(stream, cfg)
     assert np.array_equal(recovered.data, cube.data)
     assert report.packets_dropped == 0
+
+
+def _per_target_reference(cfg, targets) -> np.ndarray:
+    """The per-target loop the separable product replaced: one phase cube per target."""
+    k = np.arange(cfg.samples_per_chirp)
+    q = np.arange(cfg.chirps_per_frame)
+    tx_of_chirp = q % cfg.num_tx
+    r = np.arange(cfg.num_rx)
+    data = np.zeros((cfg.chirps_per_frame, cfg.num_rx, cfg.samples_per_chirp), np.complex128)
+    for tgt in targets:
+        f_beat = 2.0 * cfg.chirp_slope_hz_per_s * tgt.range_m / SPEED_OF_LIGHT
+        f_doppler = 2.0 * tgt.radial_velocity_m_s * cfg.start_freq_hz / SPEED_OF_LIGHT
+        sin_az = math.sin(math.radians(tgt.azimuth_deg))
+        fast = f_beat * k / cfg.sample_rate_hz
+        slow = f_doppler * q * cfg.chirp_period_s
+        spatial = (
+            tx_of_chirp[:, np.newaxis] * cfg.tx_spacing_wavelengths
+            + r[np.newaxis, :] * cfg.rx_spacing_wavelengths
+        ) * sin_az
+        phase = (
+            slow[:, np.newaxis, np.newaxis]
+            + spatial[:, :, np.newaxis]
+            + fast[np.newaxis, np.newaxis, :]
+        )
+        data += tgt.amplitude * np.exp(2j * np.pi * phase)
+    return data
+
+
+def _assert_matches_reference(cfg, targets):
+    got = synthesize_frame(cfg, targets, NO_NOISE).data
+    want = _per_target_reference(cfg, targets)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9 * sum(t.amplitude for t in targets)
+
+
+@st.composite
+def _configs_and_targets(draw):
+    cfg = small_config(
+        num_tx=draw(st.integers(1, 3)),
+        num_rx=draw(st.integers(1, 4)),
+        chirps=draw(st.integers(1, 8)),
+        samples=draw(st.integers(2, 64)),
+        rx_spacing=draw(st.floats(0.25, 2.0)),
+    )
+    cfg = dataclasses.replace(cfg, tx_spacing_wavelengths=draw(st.floats(0.1, 4.0)))
+    dp = derived_params(cfg)
+    v_max = dp.max_unambiguous_velocity_m_s
+    target = st.builds(
+        PointTarget,
+        range_m=st.floats(0.0, dp.max_range_m, exclude_min=True, exclude_max=True),
+        radial_velocity_m_s=st.floats(-v_max, v_max, exclude_min=True, exclude_max=True),
+        azimuth_deg=st.floats(-90.0, 90.0, exclude_min=True, exclude_max=True),
+        amplitude=st.floats(1e-3, 1e4),
+    )
+    return cfg, draw(st.lists(target, max_size=50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs_and_targets())
+def test_synthesis_matches_per_target_reference(case):
+    _assert_matches_reference(*case)
+
+
+def _random_targets(cfg, rng, n):
+    dp = derived_params(cfg)
+    v_max = dp.max_unambiguous_velocity_m_s
+    return [
+        PointTarget(
+            range_m=rng.uniform(0.5, 0.99 * dp.max_range_m),
+            radial_velocity_m_s=rng.uniform(-0.99 * v_max, 0.99 * v_max),
+            azimuth_deg=rng.uniform(-85.0, 85.0),
+            amplitude=rng.uniform(60.0, 1000.0),
+        )
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("num_tx", [2, 1])
+def test_synthesis_matches_reference_on_c0_with_40_targets(num_tx):
+    cfg = dataclasses.replace(C0, num_tx=num_tx, tx_spacing_wavelengths=None)
+    _assert_matches_reference(cfg, _random_targets(cfg, np.random.default_rng(num_tx), 40))
+
+
+@pytest.mark.parametrize(
+    "azimuth_deg", [math.nextafter(90.0, 0.0), -math.nextafter(90.0, 0.0), 89.99, -89.99]
+)
+def test_synthesis_matches_reference_near_endfire(c0, azimuth_deg):
+    _assert_matches_reference(c0, [PointTarget(17.0, -3.0, azimuth_deg, 800.0)])
+
+
+# sha256 of the capture file `simulate` writes for _golden_scene(), computed
+# with the per-target synthesis loop, before the separable product.
+GOLDEN_CAPTURE_SHA256 = "512bc41fb4494cd935897ef8230b4f78cf077e1cbb0eab77daa3d6f313e16295"
+
+
+def _golden_scene() -> dict:
+    rng = np.random.default_rng(2024)
+    return {
+        "noise_power": 1000.0,
+        "seed": 31,
+        "frames": [
+            {"frame": f, "targets": [
+                {"range_m": t.range_m, "velocity_m_s": t.radial_velocity_m_s,
+                 "azimuth_deg": t.azimuth_deg, "amplitude": t.amplitude}
+                for t in _random_targets(C0, rng, 40)
+            ]}
+            for f in range(2)
+        ],
+    }
+
+
+def test_simulate_capture_matches_golden(tmp_path):
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"radar": encode_jsonable(C0)}), encoding="utf-8")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(_golden_scene()), encoding="utf-8")
+    capture = tmp_path / "golden.orad"
+    assert main(["simulate", "--config", str(cfg_path), "--scene", str(scene_path),
+                 "--out", str(capture)]) == 0
+    assert hashlib.sha256(capture.read_bytes()).hexdigest() == GOLDEN_CAPTURE_SHA256
