@@ -342,7 +342,7 @@ def capon(
     """
     _check_invertible(R.matrix[np.newaxis])
     grid, a = _grid_and_steering(array, grid_deg)
-    return AngleSpectrum(angles_deg=grid, power=_capon_power(R.matrix, a))
+    return AngleSpectrum(angles_deg=grid, power=_capon_power(np.linalg.inv(R.matrix), a))
 
 
 def _check_invertible(matrices: np.ndarray) -> None:
@@ -354,8 +354,8 @@ def _check_invertible(matrices: np.ndarray) -> None:
         )
 
 
-def _capon_power(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    denom = np.einsum("ig,ig->g", a.conj(), np.linalg.solve(r, a)).real
+def _capon_power(r_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
+    denom = np.einsum("ig,ig->g", a.conj(), r_inv @ a).real
     return 1.0 / np.maximum(denom, np.finfo(np.float64).tiny)
 
 
@@ -448,7 +448,7 @@ def estimate_angles(
         powers = (_bartlett_power(m, a) for m in r)
     elif method is AoaMethod.CAPON:
         _check_invertible(r)
-        powers = (_capon_power(m, a) for m in r)
+        powers = (_capon_power(m, a) for m in np.linalg.inv(r))
     else:
         vals, vecs = _sorted_eigs(r)
         if music_n_sources is None:

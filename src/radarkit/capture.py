@@ -22,6 +22,7 @@ where the config blob is canonical key-sorted JSON text of the RadarConfig.
 from __future__ import annotations
 
 import json
+import os
 import queue
 import socket
 import struct
@@ -307,16 +308,34 @@ def read_capture_header(f) -> CaptureFileHeader:
     return CaptureFileHeader(version=version, config=cfg, frame_count=frame_count)
 
 
-def read_capture_file(path) -> tuple[RadarConfig, list[DataCube]]:
-    """Read a capture file back into its config and frames."""
+def read_capture_file(path) -> tuple[RadarConfig, Iterator[DataCube]]:
+    """Read a capture file's config and check that every frame is present.
+
+    Returns the config and an iterator that decodes one frame per ``next``,
+    so memory does not grow with the capture. A file too short for its frame
+    count raises ``FormatError`` here, before any frame is decoded. The
+    iterator opens the file on its first ``next`` and closes it once it is
+    exhausted or closed.
+    """
     with open(path, "rb") as f:
         header = read_capture_header(f)
-        per_frame = frame_byte_count(header.config)
-        cubes = [
-            deinterleave(_read_exact(f, per_frame, f"frame {i}"), header.config, i)
-            for i in range(header.frame_count)
-        ]
-    return header.config, cubes
+        data_offset = f.tell()
+        size = os.fstat(f.fileno()).st_size
+    per_frame = frame_byte_count(header.config)
+    complete, tail = divmod(size - data_offset, per_frame)
+    if complete < header.frame_count:
+        raise FormatError(
+            f"truncated frame {complete}: expected {per_frame} bytes, got {tail}"
+        )
+    return header.config, _frames(path, data_offset, header)
+
+
+def _frames(path, data_offset: int, header: CaptureFileHeader) -> Iterator[DataCube]:
+    per_frame = frame_byte_count(header.config)
+    with open(path, "rb") as f:
+        f.seek(data_offset)
+        for i in range(header.frame_count):
+            yield deinterleave(_read_exact(f, per_frame, f"frame {i}"), header.config, i)
 
 
 class CaptureListener:

@@ -7,10 +7,12 @@ e.g. {"error": "FormatError", "message": "bad magic ..."}.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import socket
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -74,6 +76,12 @@ def _resolve_out(cfg: PipelineConfig, out_flag) -> Path:
 
 
 def _cmd_process(args) -> int:
+    """Stream the capture: at most ``--workers`` frames decoded at a time.
+
+    Each result is written on one writer thread while the next frames are
+    processed; frame i's write is submitted only once frame i-1's is done,
+    so writes stay in frame order and a failed write ends the run.
+    """
     cfg = load_pipeline_config(args.config)
     file_cfg, cubes = read_capture_file(args.infile)
     if file_cfg != cfg.radar:
@@ -81,12 +89,21 @@ def _cmd_process(args) -> int:
             "capture file radar config does not match the pipeline config"
         )
     out = _resolve_out(cfg, args.out)
-    results = run_pipeline(cfg, cubes, workers=args.workers)
-    for result in results:
-        write_frame_outputs(out, result)
+    chunk_size = max(args.workers, 1)
+    n_frames = n_points = 0
+    pending = None
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        while chunk := list(itertools.islice(cubes, chunk_size)):
+            for result in run_pipeline(cfg, chunk, workers=args.workers):
+                if pending is not None:
+                    pending.result()
+                pending = writer.submit(write_frame_outputs, out, result)
+                n_frames += 1
+                n_points += len(result.point_cloud)
+        if pending is not None:
+            pending.result()
     write_run_manifest(out, cfg)
-    n_points = sum(len(r.point_cloud) for r in results)
-    print(f"processed {len(results)} frames, {n_points} points -> {out}")
+    print(f"processed {n_frames} frames, {n_points} points -> {out}")
     return 0
 
 

@@ -175,7 +175,7 @@ def synthesize_capture(
 
 
 def packetize(
-    cubes: Sequence[DataCube], payload_bytes: int = DEFAULT_PAYLOAD_BYTES
+    cubes: Iterable[DataCube], payload_bytes: int = DEFAULT_PAYLOAD_BYTES
 ) -> list[CapturePacket]:
     """Serialize cubes into the capture byte layout, split into sequenced packets.
 

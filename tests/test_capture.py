@@ -200,6 +200,7 @@ def test_capture_file_round_trip(tmp_path, c0):
     path = tmp_path / "capture.orad"
     write_capture_file(path, c0, cubes)
     cfg2, cubes2 = read_capture_file(path)
+    cubes2 = list(cubes2)
     assert cfg2 == c0
     assert len(cubes2) == 3
     for a, b in zip(cubes, cubes2):
