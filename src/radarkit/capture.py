@@ -114,9 +114,16 @@ class PacketReassembler:
     """Incremental seq-ordered byte reassembly with bounded reorder tolerance.
 
     ``window`` is the maximum out-of-order displacement tolerated: a packet
-    displaced at most ``window`` arrival positions from its in-order position
-    is always recovered. A missing seq is given up (declared lost and its
-    byte extent zero-filled) once the arrival position passes seq + window.
+    displaced at most ``window`` places from its position in the full,
+    lossless order is always recovered. The gap next_seq .. p-1 before the
+    oldest pending seq p is given up (declared lost and its byte extent
+    zero-filled) once the arrival index (from 0) exceeds next_seq + window,
+    or once a seq greater than p - 1 + 2 * window has arrived: that seq sits
+    after position p - 1 + window of the lossless order, the last position
+    any seq of the gap can take, and arrivals keep that order. The second
+    bound does not count arrivals, so packets lost earlier in the stream do
+    not delay it: a gap holds back later bytes only until a seq more than
+    2 * window beyond its last seq arrives.
 
     Late arrivals of already-emitted or already-dropped seqs are ignored and
     not counted, which keeps packets_received + packets_dropped equal to
@@ -163,8 +170,11 @@ class PacketReassembler:
         position = self._arrivals
         self._arrivals += 1
         out = bytearray(self._drain_in_order())
-        # Give up on the oldest missing seq once its arrival deadline passed.
-        while self._pending and position > self._next_seq + self.window:
+        # Give up on the oldest gap once no seq in it can still arrive.
+        while self._pending and (
+            position > self._next_seq + self.window
+            or self._max_seq > min(self._pending) - 1 + 2 * self.window
+        ):
             out += self._zero_fill_to(min(self._pending))
             out += self._drain_in_order()
         return bytes(out)
@@ -338,13 +348,18 @@ def _frames(path, data_offset: int, header: CaptureFileHeader) -> Iterator[DataC
             yield deinterleave(_read_exact(f, per_frame, f"frame {i}"), header.config, i)
 
 
+_END = object()  # queued last, when the listener thread ends
+
+
 class CaptureListener:
     """Background UDP receiver turning datagrams into complete frames.
 
     Runs as a daemon thread; completed frames are delivered through a bounded
     queue with a drop-oldest backpressure policy (``frames_dropped_backpressure``
     counts casualties). Frames are never partially emitted: bytes accumulate
-    until a full frame extent is available.
+    until a full frame extent is available. An error that ends the thread (a
+    datagram shorter than its header, a ``byte_offset`` conflict) is raised by
+    ``frames`` once the frames completed before it have been yielded.
     """
 
     def __init__(
@@ -364,6 +379,7 @@ class CaptureListener:
         self._stop = threading.Event()
         self._frame_index = 0
         self._last_report = DropReport()
+        self._error: Optional[Exception] = None
         self.frames_dropped_backpressure = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
@@ -391,8 +407,11 @@ class CaptureListener:
                     break
                 self._ingest(self._reassembler.feed(CapturePacket.decode(datagram)))
             self._ingest(self._reassembler.flush())
+        except Exception as e:
+            self._error = e
         finally:
             self._sock.close()
+            self._put(_END)
 
     def _ingest(self, data: bytes):
         self._buffer += data
@@ -404,28 +423,41 @@ class CaptureListener:
             item = (cube, report - self._last_report)
             self._last_report = report
             self._frame_index += 1
-            while True:
+            self._put(item)
+
+    def _put(self, item):
+        while True:
+            try:
+                self._queue.put_nowait(item)
+                return
+            except queue.Full:
                 try:
-                    self._queue.put_nowait(item)
-                    break
-                except queue.Full:
-                    try:
-                        self._queue.get_nowait()
-                        self.frames_dropped_backpressure += 1
-                    except queue.Empty:
-                        pass
+                    self._queue.get_nowait()
+                    self.frames_dropped_backpressure += 1
+                except queue.Empty:
+                    pass
 
     def frames(
         self, max_frames: Optional[int] = None, idle_timeout_s: Optional[float] = None
     ) -> Iterator[tuple[DataCube, DropReport]]:
-        """Yield (cube, per-frame DropReport) until a limit or idle timeout."""
+        """Yield (cube, per-frame DropReport) until a limit or idle timeout.
+
+        Also stops once the listener thread has ended, raising the error that
+        ended it, if any.
+        """
         yielded = 0
         while max_frames is None or yielded < max_frames:
             try:
-                yield self._queue.get(timeout=idle_timeout_s)
-                yielded += 1
+                item = self._queue.get(timeout=idle_timeout_s)
             except queue.Empty:
                 return
+            if item is _END:
+                self._queue.put_nowait(_END)  # for any later call
+                if self._error is not None:
+                    raise self._error
+                return
+            yield item
+            yielded += 1
 
     def stop(self):
         self._stop.set()

@@ -1,3 +1,4 @@
+import itertools
 import socket
 import time
 
@@ -12,6 +13,7 @@ from radarkit import (
     CapturePacket,
     DataCube,
     FormatError,
+    PacketReassembler,
     SizeError,
     TransportError,
     deinterleave,
@@ -84,6 +86,83 @@ def test_reassembler_recovers_any_bounded_reorder_and_loss(window, payloads, dat
         bytes(len(p)) if s in lost else p for s, p in enumerate(payloads))
     assert report.packets_received == n - len(lost)
     assert report.packets_received + report.packets_dropped == n
+
+
+def test_reassembler_exhaustive_small_streams():
+    # Every lossless order of 1-7 packets that displaces no seq by more than
+    # the window, for windows 1-3, with every loss set that keeps the last seq.
+    cases = 0
+    for n in range(1, 8):
+        payloads = [bytes([65 + s]) * (1 + s % 3) for s in range(n)]
+        pkts = _packets(payloads)
+        for window in (1, 2, 3):
+            for order in itertools.permutations(range(n)):
+                if any(abs(p - s) > window for p, s in enumerate(order)):
+                    continue
+                for k in range(n):
+                    for lost in itertools.combinations(range(n - 1), k):
+                        stream, report = reassemble(
+                            [pkts[s] for s in order if s not in lost], window)
+                        assert stream == b"".join(
+                            bytes(len(p)) if s in lost else p
+                            for s, p in enumerate(payloads)), (order, lost, window)
+                        assert report.packets_received + report.packets_dropped == n
+                        cases += 1
+    assert cases == 67955
+
+
+def test_gap_kept_open_while_its_seq_can_still_arrive():
+    # Lossless order [0, 1, 3, 2] under window 1 with seqs 0 and 1 lost: seq 3
+    # arrives more than 2 * window past seq 0, but seq 2 is still to come.
+    pkts = _packets([b"a", b"b", b"c", b"d"])
+    stream, report = reassemble([pkts[3], pkts[2]], window=1)
+    assert stream == b"\x00\x00cd"
+    assert report.packets_dropped == 2
+    assert report.packets_received == 2
+
+
+def test_gap_deadline_does_not_drift_with_earlier_losses():
+    # An in-order stream losing every fifth seq: each lost seq m is zero-filled,
+    # and seq m + 1 emitted, once seq m + 2 * window + 1 has been fed, however
+    # many packets were lost before m.
+    window, n = 3, 120
+    payloads = [bytes([1 + s % 255]) * (1 + s % 7) for s in range(n)]
+    pkts = _packets(payloads)
+    lost = set(range(0, n, 5))
+    r = PacketReassembler(window)
+    out = bytearray()
+    checked = 0
+    for pkt in pkts:
+        if pkt.seq in lost:
+            continue
+        out += r.feed(pkt)
+        m = pkt.seq - 2 * window - 1
+        if m in lost:
+            start = pkts[m].byte_offset
+            assert out[start:start + len(payloads[m]) + len(payloads[m + 1])] == (
+                bytes(len(payloads[m])) + payloads[m + 1]), m
+            checked += 1
+    assert checked == len(lost) - 1
+
+
+def test_listener_raises_thread_error_after_completed_frames():
+    cfg = small_config(num_tx=2, num_rx=2, chirps=16, samples=64)
+    rng = np.random.default_rng(13)
+    cube = DataCube(random_int_cube_data(rng, cfg), 0, cfg)
+    listener = CaptureListener(0, cfg, window=4, host="127.0.0.1")
+    try:
+        _send_packets(packetize([cube], payload_bytes=1456), listener.port)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.sendto(b"abc", ("127.0.0.1", listener.port))
+        frames = listener.frames(idle_timeout_s=5.0)
+        got, _ = next(frames)
+        assert np.array_equal(got.data, cube.data)
+        with pytest.raises(TransportError, match="3 bytes"):
+            next(frames)
+        with pytest.raises(TransportError):
+            list(listener.frames(idle_timeout_s=5.0))
+    finally:
+        listener.stop()
 
 
 def test_reassemble_empty_stream():

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 
 import numpy as np
@@ -18,7 +19,7 @@ from radarkit import (
     synthesize_capture,
     synthesize_frame,
 )
-from radarkit.capture import CaptureListener, write_capture_file
+from radarkit.capture import CaptureListener, CapturePacket, write_capture_file
 from radarkit.cli import main
 from radarkit.detect import CfarMode, CfarParams
 
@@ -337,6 +338,43 @@ def test_cli_replay_with_loss_reports_drops(tmp_path, capsys):
     assert all(
         d["bytes_zero_filled"] == 1456 * d["packets_dropped"] for d in drops
     )
+
+
+@pytest.mark.parametrize("idle_timeout", [None, "2"], ids=["no_timeout", "timeout"])
+@pytest.mark.parametrize(
+    "datagram",
+    [b"abc", CapturePacket(seq=0, byte_offset=7, payload=b"x").encode()],
+    ids=["short_datagram", "byte_offset_conflict"],
+)
+def test_cli_listen_thread_error_is_one_json_line(tmp_path, capsys, datagram,
+                                                  idle_timeout):
+    cfg_path = tmp_path / "pipeline.json"
+    _write_json(cfg_path, pipeline_dict())
+    probe = CaptureListener(0, C0, window=2, host="127.0.0.1")
+    port = probe.port
+    probe.stop()
+
+    argv = ["listen", "--config", str(cfg_path), "--port", str(port),
+            "--out", str(tmp_path / "live")]
+    if idle_timeout is not None:
+        argv += ["--idle-timeout-s", idle_timeout]
+    rc = {}
+    listener = threading.Thread(
+        target=lambda: rc.setdefault("code", main(argv)), daemon=True)
+    listener.start()
+    # Resend until the listener has bound its port and ended on the datagram.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        for _ in range(100):
+            sock.sendto(datagram, ("127.0.0.1", port))
+            listener.join(timeout=0.1)
+            if not listener.is_alive():
+                break
+    listener.join(timeout=10)
+    assert not listener.is_alive()
+    assert rc["code"] == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "TransportError"
 
 
 def test_cli_bench_table(tmp_path, capsys):
