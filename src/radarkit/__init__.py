@@ -82,7 +82,6 @@ from .aoa import (  # noqa: E402
     write_angle_spectrum_csv,
 )
 from .detect import (  # noqa: E402
-    CfarMode,
     CfarParams,
     Detection,
     ParamError,

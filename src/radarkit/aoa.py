@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RadarConfig, RadarError, validate_config
+from .core import RadarConfig, RadarError
 from .rangedoppler import RangeDopplerCube
 
 DEFAULT_GRID_STEP_DEG = 0.1
@@ -80,7 +80,6 @@ class VirtualArray:
 
 def virtual_array(cfg: RadarConfig) -> VirtualArray:
     """Virtual array implied by the config's TX/RX line geometry."""
-    validate_config(cfg)
     t = np.arange(cfg.num_tx)
     r = np.arange(cfg.num_rx)
     pos = (

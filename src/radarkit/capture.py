@@ -39,7 +39,6 @@ from .core import (
     RadarError,
     decode_jsonable,
     encode_jsonable,
-    validate_config,
 )
 
 MAGIC = b"ORAD"
@@ -246,7 +245,6 @@ def serialize_cube(cube: DataCube) -> bytes:
 
 def deinterleave(buf: bytes, cfg: RadarConfig, frame_index: int = 0) -> DataCube:
     """Decode one frame's bytes into a (chirp, rx, sample) complex cube."""
-    validate_config(cfg)
     expected = frame_byte_count(cfg)
     if len(buf) != expected:
         raise SizeError(f"expected {expected} frame bytes, got {len(buf)}")
@@ -269,7 +267,7 @@ def _config_from_blob(blob: bytes) -> RadarConfig:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"config blob is not valid JSON: {e}") from e
     try:
-        return validate_config(decode_jsonable(RadarConfig, d))
+        return decode_jsonable(RadarConfig, d)
     except ConfigError as e:
         raise FormatError(f"config blob invalid: {e}") from e
 
@@ -285,7 +283,6 @@ class CaptureFileHeader:
 
 def write_capture_file(path, cfg: RadarConfig, cubes: Iterable[DataCube]) -> None:
     """Write cubes to a capture file; ``read_capture_file`` is its inverse."""
-    validate_config(cfg)
     frames = list(cubes)
     blob = _config_blob(cfg)
     with open(path, "wb") as f:
@@ -370,7 +367,6 @@ class CaptureListener:
         host: str = "0.0.0.0",
         queue_frames: int = 64,
     ):
-        validate_config(cfg)
         self.cfg = cfg
         self._frame_bytes = frame_byte_count(cfg)
         self._reassembler = PacketReassembler(window)

@@ -108,6 +108,8 @@ def _cmd_process(args) -> int:
 
 
 def _cmd_listen(args) -> int:
+    timeout = args.idle_timeout_s
+    _check_flags((timeout is None or timeout >= 0, "--idle-timeout-s", ">= 0", timeout))
     cfg = load_pipeline_config(args.config)
     out = _resolve_out(cfg, args.out)
     reports = []
@@ -140,8 +142,20 @@ def _parse_dest(dest: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _check_flags(*checks) -> None:
+    """Raise ConfigError for the first (ok, flag, allowed, value) that is not ok."""
+    for ok, flag, allowed, value in checks:
+        if not ok:
+            raise ConfigError(f"{flag} must be {allowed}, got {value!r}")
+
+
 def _cmd_replay(args) -> int:
     dest = _parse_dest(args.dest)
+    _check_flags(
+        (args.seed >= 0, "--seed", ">= 0", args.seed),
+        (0 <= args.loss <= 1, "--loss", "in [0, 1]", args.loss),
+        (args.reorder >= 0, "--reorder", ">= 0", args.reorder),
+    )
     _, cubes = read_capture_file(args.infile)
     packets = packetize(cubes)
     rng = np.random.default_rng(args.seed)

@@ -33,6 +33,8 @@ class ConfigError(RadarError, ValueError):
 class RadarConfig:
     """Full chirp/frame/antenna parameterization of one capture session.
 
+    Construction runs ``validate_config``, so no consumer re-checks one.
+
     Attributes:
         num_tx: physical transmit antennas (M).
         num_rx: physical receive antennas (N).
@@ -64,6 +66,7 @@ class RadarConfig:
                 self, "tx_spacing_wavelengths",
                 self.num_rx * self.rx_spacing_wavelengths,
             )
+        validate_config(self)
 
     @property
     def chirps_per_frame(self) -> int:
@@ -144,7 +147,6 @@ def derived_params(cfg: RadarConfig) -> DerivedParams:
     only every M * T_c. Broadside angle resolution is the beamwidth of the
     M*N-element virtual aperture, 1 / (M * N * rx_spacing) radians.
     """
-    validate_config(cfg)
     lam = SPEED_OF_LIGHT / cfg.start_freq_hz
     n_virtual = cfg.num_tx * cfg.num_rx
     tx_repeat_s = cfg.num_tx * cfg.chirp_period_s
@@ -204,7 +206,6 @@ class DataCube:
     config: RadarConfig = field(repr=False)
 
     def __post_init__(self):
-        validate_config(self.config)
         if self.frame_index < 0:
             raise ConfigError(f"frame_index must be >= 0, got {self.frame_index}")
         expected = (
@@ -229,11 +230,8 @@ class DataCube:
 
 
 def _json_fields(cls) -> dict[str, dataclasses.Field]:
-    """JSON key -> field; ``metadata={"json": ...}`` renames (str) or hides (False)."""
-    return {
-        f.metadata.get("json", f.name): f
-        for f in dataclasses.fields(cls) if f.metadata.get("json", True)
-    }
+    """JSON key -> field; ``metadata={"json": "key"}`` renames a field."""
+    return {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
 
 
 @functools.cache
@@ -256,16 +254,17 @@ def encode_jsonable(obj):
     return obj
 
 
-def decode_jsonable(tp, value, key: str = "", default=None):
+def decode_jsonable(tp, value, key: str = ""):
     """Decode parsed JSON ``value`` as type ``tp``, a config dataclass, strictly.
 
     The dataclass fields and their type hints are the schema. Rejected:
     a non-object, unknown keys, missing keys of fields without a default,
     values of the wrong JSON type (a bool is not a number; an int is taken
     as a float; ``Optional`` allows null) and enum names matching no member
-    (case-insensitively). A nested dataclass is decoded onto the field's
-    default, so its unset fields keep that default's values. ``key``
-    prefixes every message; ``default`` is the instance to decode onto.
+    (case-insensitively). Unset keys take their field defaults, a nested
+    object's those of its own class. A construction error (a ``RadarConfig``
+    failing ``validate_config``) is re-raised under the dataclass's key.
+    ``key`` prefixes every message.
 
     Raises:
         ConfigError: naming the dotted key, e.g. ``range_cfar.guard_cells``.
@@ -275,7 +274,7 @@ def decode_jsonable(tp, value, key: str = "", default=None):
         if value is None:
             return None
         (inner,) = [a for a in typing.get_args(tp) if a is not type(None)]
-        return decode_jsonable(inner, value, key, default)
+        return decode_jsonable(inner, value, key)
     if origin is tuple:
         if not isinstance(value, list):
             raise ConfigError(_at(key, f"expected a list, got {value!r}"))
@@ -302,12 +301,11 @@ def decode_jsonable(tp, value, key: str = "", default=None):
     for k, v in value.items():
         f = fields[k]
         child = f"{key}.{k}" if key else k
-        kwargs[f.name] = decode_jsonable(hints[f.name], v, child, f.default)
-    onto_default = isinstance(default, tp)
+        kwargs[f.name] = decode_jsonable(hints[f.name], v, child)
     required = {k for k, f in fields.items() if f.default is f.default_factory is MISSING}
-    if not onto_default and required - set(value):
+    if required - set(value):
         raise ConfigError(_at(key, f"missing keys {sorted(required - set(value))}"))
     try:
-        return dataclasses.replace(default, **kwargs) if onto_default else tp(**kwargs)
+        return tp(**kwargs)
     except (RadarError, ValueError) as e:
         raise ConfigError(_at(key, str(e))) from e

@@ -9,9 +9,8 @@ that count, so the rate stays calibrated at the profile ends too.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,12 +26,6 @@ class ParamError(RadarError):
     """Filter parameter outside its valid range."""
 
 
-class CfarMode(enum.Enum):
-    RANGE_AXIS = "range_axis"
-    DOPPLER_AXIS = "doppler_axis"
-    CROSS_2D = "cross_2d"
-
-
 @dataclass(frozen=True)
 class CfarParams:
     """CA-CFAR window shape and target false-alarm rate (cells per side)."""
@@ -40,8 +33,6 @@ class CfarParams:
     guard_cells: int = 2
     train_cells: int = 8
     pfa: float = 1e-4
-    # Set per axis by the pipeline, so never a config key.
-    mode: CfarMode = field(default=CfarMode.RANGE_AXIS, metadata={"json": False})
     circular: bool = False
 
     def __post_init__(self):

@@ -37,10 +37,8 @@ from .core import (
     RadarError,
     decode_jsonable,
     encode_jsonable,
-    validate_config,
 )
 from .detect import (
-    CfarMode,
     CfarParams,
     PointCloud,
     cfar_2d,
@@ -83,8 +81,8 @@ class PipelineConfig:
     radar: RadarConfig
     range_window: WindowKind = WindowKind.HANN
     doppler_window: WindowKind = WindowKind.HANN
-    range_cfar: CfarParams = CfarParams(mode=CfarMode.RANGE_AXIS)
-    doppler_cfar: CfarParams = CfarParams(mode=CfarMode.DOPPLER_AXIS)
+    range_cfar: CfarParams = CfarParams()
+    doppler_cfar: CfarParams = CfarParams()
     aoa_method: AoaMethod = AoaMethod.FFT
     aoa_grid_step_deg: float = 0.1
     aoa_fft_bins: int = 256
@@ -99,7 +97,6 @@ class PipelineConfig:
 
     def __post_init__(self):
         # Values that would otherwise fail on frame 0; per-method ones if selected.
-        validate_config(self.radar)
         n_virtual = self.radar.num_tx * self.radar.num_rx
         method, n_sources = self.aoa_method, self.music_n_sources
         min_step = 180.0 / (MAX_ANGLE_BINS + 1)  # at most MAX_ANGLE_BINS grid angles

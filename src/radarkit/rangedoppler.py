@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataCube, RadarConfig, RadarError, validate_config
+from .core import DataCube, RadarConfig, RadarError
 
 
 class LengthError(RadarError):
@@ -71,22 +71,14 @@ def coherent_gain(kind: WindowKind, length: int) -> float:
 def range_processing(
     cube: DataCube,
     window_kind: WindowKind = WindowKind.RECTANGULAR,
-    pad_to_pow2: bool = False,
 ) -> np.ndarray:
     """Window and FFT each chirp along the sample axis.
 
     Returns a (chirp, rx, range_bin) complex array; no shift is applied since
-    complex baseband range is one-sided. With ``pad_to_pow2`` the sample axis
-    is zero-padded to the next power of two (bin -> range conversions assume
-    the unpadded length).
+    complex baseband range is one-sided.
     """
-    n_s = cube.config.samples_per_chirp
-    w = window(window_kind, n_s)
-    windowed = cube.data * w[np.newaxis, np.newaxis, :]
-    n_fft = n_s
-    if pad_to_pow2:
-        n_fft = 1 << (n_s - 1).bit_length()
-    return np.fft.fft(windowed, n=n_fft, axis=-1)
+    w = window(window_kind, cube.config.samples_per_chirp)
+    return np.fft.fft(cube.data * w[np.newaxis, np.newaxis, :], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,25 +119,20 @@ def doppler_processing(
     range_cube: np.ndarray,
     cfg: RadarConfig,
     window_kind: WindowKind = WindowKind.RECTANGULAR,
-    tx_deinterleave: bool = True,
 ) -> RangeDopplerCube:
     """Regroup TX-interleaved chirps into virtual receivers and FFT slow time.
 
     The chirp axis (TX-major interleave: chirp q fired by TX q mod M) is
     reshaped to (slow_time, virtual_rx = tx * num_rx + rx), windowed and
     FFT'd along slow time, then center-shifted so bin N_c/2 is zero Doppler.
-
-    With ``tx_deinterleave=False`` the chirp axis is taken as slow time
-    directly and the virtual axis is the physical RX axis.
     """
-    validate_config(cfg)
     arr = np.asarray(range_cube)
     if arr.ndim != 3:
         raise ShapeError(f"expected a 3-d (chirp, rx, range) array, got {arr.ndim}-d")
     n_chirps, n_rx, n_range = arr.shape
     if n_rx != cfg.num_rx:
         raise ShapeError(f"rx axis has {n_rx} elements, config says {cfg.num_rx}")
-    m = cfg.num_tx if tx_deinterleave else 1
+    m = cfg.num_tx
     if n_chirps % m != 0:
         raise ShapeError(
             f"chirp count {n_chirps} not divisible by num_tx {m}"

@@ -45,7 +45,6 @@ from .core import (
     RadarConfig,
     RadarError,
     derived_params,
-    validate_config,
 )
 
 _SEED_MASK = (1 << 64) - 1
@@ -109,7 +108,6 @@ def synthesize_frame(
     frame_index: int = 0,
 ) -> DataCube:
     """Synthesize one frame of beat-signal samples for the given targets."""
-    validate_config(cfg)
     _check_limits(cfg, targets)
     n_chirps = cfg.chirps_per_frame
     shape = (n_chirps, cfg.num_rx, cfg.samples_per_chirp)

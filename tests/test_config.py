@@ -19,12 +19,12 @@ from radarkit import (
 from radarkit.aoa import MAX_ANGLE_BINS
 from radarkit.capture import FORMAT_VERSION, MAGIC
 from radarkit.cli import main
-from radarkit.detect import CfarMode, CfarParams
+from radarkit.detect import CfarParams
 from radarkit.pipeline import LogGaborParams
 from radarkit.rangedoppler import Accumulation, WindowKind
 
 from conftest import C0
-from test_pipeline import pipeline_dict, scene_dict
+from test_pipeline import c0_dict, pipeline_dict, scene_dict
 
 
 def test_config_hashes_unchanged(tmp_path):
@@ -47,13 +47,12 @@ def _floats(lo, hi, **kw):
     return st.floats(lo, hi, allow_nan=False, **kw)
 
 
-def _cfar(mode):
+def _cfar():
     return st.builds(
         CfarParams,
         guard_cells=st.integers(0, 4),
         train_cells=st.integers(1, 16),
         pfa=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        mode=st.just(mode),
         circular=st.booleans(),
     )
 
@@ -74,8 +73,8 @@ def pipeline_configs(draw):
         radar=radar,
         range_window=draw(st.sampled_from(WindowKind)),
         doppler_window=draw(st.sampled_from(WindowKind)),
-        range_cfar=draw(_cfar(CfarMode.RANGE_AXIS)),
-        doppler_cfar=draw(_cfar(CfarMode.DOPPLER_AXIS)),
+        range_cfar=draw(_cfar()),
+        doppler_cfar=draw(_cfar()),
         aoa_method=draw(st.sampled_from(AoaMethod)),
         # Grid steps below 180/(MAX_ANGLE_BINS + 1) are rejected under the grid methods.
         aoa_grid_step_deg=draw(_floats(180.0 / (MAX_ANGLE_BINS + 1), 90.0, exclude_max=True)),
@@ -178,6 +177,8 @@ MALFORMED = {
                              "ConfigError", "music_n_sources"),
     "capon_loading_negative": ({"aoa_method": "capon", "capon_loading": -1e-3}, None,
                                None, "ConfigError", "capon_loading"),
+    "radar_num_tx_zero": ({"radar": dict(c0_dict(), num_tx=0)}, None, None,
+                          "ConfigError", "radar: num_tx"),
 }
 
 

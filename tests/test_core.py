@@ -22,25 +22,30 @@ def test_c0_accepted(c0):
     assert validate_config(c0) is c0
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("num_tx", 0),
-        ("num_rx", 0),
-        ("chirps_per_frame_per_tx", 0),
-        ("samples_per_chirp", 1),
-        ("sample_rate_hz", -1.0),
-        ("chirp_slope_hz_per_s", 0.0),
-        ("start_freq_hz", -77e9),
-        ("chirp_period_s", 0.0),
-        ("rx_spacing_wavelengths", -0.5),
-        ("tx_spacing_wavelengths", 0.0),
-    ],
-)
+INVALID_FIELDS = [
+    ("num_tx", 0),
+    ("num_rx", 0),
+    ("chirps_per_frame_per_tx", 0),
+    ("samples_per_chirp", 1),
+    ("sample_rate_hz", -1.0),
+    ("chirp_slope_hz_per_s", 0.0),
+    ("start_freq_hz", -77e9),
+    ("chirp_period_s", 0.0),
+    ("rx_spacing_wavelengths", -0.5),
+    ("tx_spacing_wavelengths", 0.0),
+]
+
+
+@pytest.mark.parametrize("field,value", INVALID_FIELDS)
 def test_validate_rejects_and_names_field(c0, field, value):
-    bad = dataclasses.replace(c0, **{field: value})
     with pytest.raises(ConfigError, match=field):
-        validate_config(bad)
+        validate_config(dataclasses.replace(c0, **{field: value}))
+
+
+@pytest.mark.parametrize("field,value", INVALID_FIELDS)
+def test_construction_rejects_and_names_field(c0, field, value):
+    with pytest.raises(ConfigError, match=field):
+        RadarConfig(**{**dataclasses.asdict(c0), field: value})
 
 
 def test_validate_rejects_non_integer_count(c0):
@@ -50,9 +55,8 @@ def test_validate_rejects_non_integer_count(c0):
 
 def test_validate_rejects_sampling_outrunning_ramp(c0):
     # 256 samples at 1 MHz need 256 us, longer than the 60 us chirp.
-    bad = dataclasses.replace(c0, sample_rate_hz=1e6)
     with pytest.raises(ConfigError, match="chirp_period_s"):
-        validate_config(bad)
+        validate_config(dataclasses.replace(c0, sample_rate_hz=1e6))
 
 
 def test_tx_spacing_defaults_to_filled_virtual_line():

@@ -21,7 +21,7 @@ from radarkit import (
 )
 from radarkit.capture import CaptureListener, CapturePacket, write_capture_file
 from radarkit.cli import main
-from radarkit.detect import CfarMode, CfarParams
+from radarkit.detect import CfarParams
 
 from conftest import C0
 
@@ -87,8 +87,6 @@ def test_pipeline_config_from_dict_round_trip():
     assert cfg.radar == C0
     assert cfg.aoa_method is AoaMethod.MUSIC
     assert cfg.range_cfar.train_cells == 10
-    assert cfg.range_cfar.mode is CfarMode.RANGE_AXIS
-    assert cfg.doppler_cfar.mode is CfarMode.DOPPLER_AXIS
     assert cfg.log_gabor.enabled
     assert cfg.config_sha256() == pipeline_config_from_dict(
         pipeline_dict(
@@ -411,20 +409,28 @@ def test_cli_bench_stage_rows_sum_to_at_most_end_to_end(tmp_path, capsys):
         (["replay", "--dest", "127.0.0.1:70000"], "ConfigError"),
         (["listen", "--port", "70000"], "BindError"),
         (["listen", "--port", "0", "--window", "0"], "ConfigError"),
+        (["replay", "--dest", "127.0.0.1:9", "--seed", "-1"], "ConfigError"),
+        (["replay", "--dest", "127.0.0.1:9", "--loss", "-0.5"], "ConfigError"),
+        (["replay", "--dest", "127.0.0.1:9", "--loss", "1.5"], "ConfigError"),
+        (["replay", "--dest", "127.0.0.1:9", "--reorder", "-1"], "ConfigError"),
+        (["listen", "--port", "0", "--idle-timeout-s", "-1"], "ConfigError"),
     ],
     ids=["dest_without_port", "dest_port_too_big", "listen_port_too_big",
-         "listen_window_zero"],
+         "listen_window_zero", "replay_seed_negative", "replay_loss_negative",
+         "replay_loss_above_one", "replay_reorder_negative", "listen_idle_timeout_negative"],
 )
 def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
+    # The row's own arguments go last: argparse keeps the last value of a flag.
     if argv[0] == "replay":
         capture_path = tmp_path / "capture.orad"
         write_capture_file(capture_path, C0, [])
-        argv = argv + ["--in", str(capture_path)]
+        defaults = ["--in", str(capture_path)]
     else:
         cfg_path = tmp_path / "pipeline.json"
         _write_json(cfg_path, pipeline_dict())
-        argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "live"),
-                       "--frames", "1", "--idle-timeout-s", "0.1"]
+        defaults = ["--config", str(cfg_path), "--out", str(tmp_path / "live"),
+                    "--frames", "1", "--idle-timeout-s", "0.1"]
+    argv = argv[:1] + defaults + argv[1:]
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1

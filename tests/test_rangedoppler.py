@@ -94,14 +94,6 @@ def test_range_processing_scalar_linearity(c0):
     assert np.allclose(b, 3.5 * a, rtol=1e-12, atol=1e-9)
 
 
-def test_range_processing_pad_to_pow2():
-    cfg = small_config(num_tx=1, num_rx=1, chirps=2, samples=24)
-    rng = np.random.default_rng(1)
-    data = rng.standard_normal((2, 1, 24)) + 0j
-    out = range_processing(DataCube(data, 0, cfg), WindowKind.RECTANGULAR, pad_to_pow2=True)
-    assert out.shape[-1] == 32
-
-
 @pytest.mark.parametrize("kind", list(WindowKind))
 def test_on_grid_peak_bin_recovery_all_windows(c0, kind):
     dp = derived_params(c0)
@@ -175,13 +167,6 @@ def test_doppler_rejects_bad_chirp_count(c0):
     bad = np.zeros((255, 4, 256), dtype=complex)  # not divisible by num_tx=2
     with pytest.raises(ShapeError):
         doppler_processing(bad, c0)
-
-
-def test_doppler_without_deinterleave():
-    cfg = small_config(num_tx=2, num_rx=2, chirps=8, samples=8)
-    data = np.zeros((16, 2, 8), dtype=complex)
-    rd = doppler_processing(data, cfg, tx_deinterleave=False)
-    assert rd.data.shape == (16, 2, 8)
 
 
 def test_power_map_floor(c0):
