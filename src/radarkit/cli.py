@@ -109,7 +109,10 @@ def _cmd_process(args) -> int:
 
 def _cmd_listen(args) -> int:
     timeout = args.idle_timeout_s
-    _check_flags((timeout is None or timeout >= 0, "--idle-timeout-s", ">= 0", timeout))
+    _check_flags(
+        (timeout is None or timeout >= 0, "--idle-timeout-s", ">= 0", timeout),
+        (args.frames is None or args.frames >= 1, "--frames", ">= 1", args.frames),
+    )
     cfg = load_pipeline_config(args.config)
     out = _resolve_out(cfg, args.out)
     reports = []
@@ -181,6 +184,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_flags((args.workers >= 1, "--workers", ">= 1", args.workers))
     cfg = load_pipeline_config(args.config)
     dp_target = PointTarget(range_m=10.0, radial_velocity_m_s=0.0, amplitude=1000.0)
     noise = NoiseSpec(noise_power=100.0, seed=cfg.seed)

@@ -175,9 +175,129 @@ def power_map(
     return to_db(accumulate_power(rd_cube, accumulation))
 
 
+_CSV_BLOCK_ROWS = 16  # rows encoded per write; bounds the encoder's temporaries
+_CSV_EXACT = 120  # template of a cell left to Python's formatter
+_CSV_MARK = b"\x01"  # stands for such a cell in the vectorized output
+_POW10 = 10.0 ** np.arange(11)  # every entry exact in float64
+
+
+def _csv_tables():
+    """Byte tables of the vectorized '%.6g' encoder, see ``_encode_csv_rows``.
+
+    A cell is laid out in 24 bytes, read as three uint64 words; a 0 byte is
+    empty and is dropped from the output:
+
+        0-5    sign, then "0." and up to three zeros when the value is < 1
+        8-19   digit j of the 6 significant digits at byte 8 + 2j; the byte
+               after digit j < 5 holds the decimal point, the one after
+               digit 5 the delimiter
+
+    A template, one per (decimal exponent -4..5, significant digits 1..6,
+    sign), holds every byte that is not a digit and 0xFF where a digit is
+    printed. The digit tables hold the digits of n // 100 (word 1) and of
+    n % 100 (word 2) with 0xFF elsewhere, so a cell is template & digits.
+    The significant-digit tables give the position of the last nonzero
+    digit, of n // 100 (1..4) and of n % 100 (5..6, or 0 when it is 0), so
+    n has max(sig4, sig2) significant digits.
+    """
+    hi = np.arange(10001)
+    hi[-1] = 1000  # n = 10**6, carried to 10**5 one decade up
+    digits = hi[:, np.newaxis] // np.array([1000, 100, 10, 1]) % 10
+    digits4 = np.full((hi.size, 8), 0xFF, np.uint8)
+    digits4[:, ::2] = digits + ord("0")
+    sig4 = 4 - np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    lo = np.arange(100)
+    digits2 = np.full((lo.size, 8), 0xFF, np.uint8)
+    digits2[:, 0] = lo // 10 + ord("0")
+    digits2[:, 2] = lo % 10 + ord("0")
+    sig2 = np.select([lo % 10 != 0, lo != 0], [6, 5], 0)
+
+    templates = np.zeros((_CSV_EXACT + 1, 24), np.uint8)
+    for exp10 in range(-4, 6):
+        for n_sig in range(1, 7):
+            for neg in (0, 1):
+                t = templates[((exp10 + 4) * 6 + n_sig - 1) * 2 + neg]
+                n_printed = max(exp10 + 1, n_sig)  # integer digits stay
+                t[0] = ord("-") * neg
+                if exp10 < 0:
+                    t[1:2 - exp10] = ord("0")
+                    t[2] = ord(".")
+                t[8:8 + 2 * n_printed:2] = 0xFF
+                if 0 <= exp10 < n_printed - 1:
+                    t[9 + 2 * exp10] = ord(".")
+                t[19] = ord(",")
+    templates[_CSV_EXACT, 0] = _CSV_MARK[0]
+    templates[_CSV_EXACT, 19] = ord(",")
+    return (
+        templates.view(np.uint64),
+        digits4.view(np.uint64).ravel(),
+        sig4.astype(np.uint8),
+        digits2.view(np.uint64).ravel(),
+        sig2.astype(np.uint8),
+    )
+
+
+_CSV_TEMPLATES, _CSV_DIGITS4, _CSV_SIG4, _CSV_DIGITS2, _CSV_SIG2 = _csv_tables()
+
+
+def _encode_csv_rows(rows: np.ndarray) -> bytes:
+    """The bytes np.savetxt(fmt="%.6g", delimiter=",") writes for a 2-d block.
+
+    Vectorized for cells whose 6-significant-digit rounding prints in fixed
+    notation (decimal exponent -4..5): |x| is scaled by an exact power of
+    ten to s in [1e5, 1e6], a product rounded once, and rint(s) gives the
+    digits. Every other cell goes to Python's correctly rounded '%.6g':
+    nan, +-inf, +-0, exponent notation, s within 1e-6 of a .5 tie (the
+    rounding of s and of x could differ there), and s < 1e5 (log10 put x a
+    decade too high).
+    """
+    if rows.shape[1] == 0:
+        return b"\n" * rows.shape[0]
+    x = rows.reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the exact-path cells
+        ax = np.abs(x)
+        k = (5.0 - np.floor(np.log10(ax))).astype(np.intp)
+        s = ax * _POW10.take(k, mode="clip")
+        n = np.rint(s)
+        carry = n == 1e6
+        exp10 = 5 - k + carry
+        fast = (s >= 1e5) & (s < 1e6 + 0.5) & (np.abs(s - n) < 0.5 - 1e-6)
+        fast &= (exp10 >= -4) & (exp10 <= 5)
+        n = n.astype(np.intp)
+    hi = n // 100
+    lo = n - 100 * hi
+    n_sig = np.maximum(_CSV_SIG4.take(hi, mode="clip"), _CSV_SIG2.take(lo, mode="clip"))
+    key = np.where(fast, ((exp10 + 4) * 6 + n_sig - 1) * 2 + (x < 0), _CSV_EXACT)
+    cells = _CSV_TEMPLATES.take(key, axis=0)
+    cells[:, 1] &= _CSV_DIGITS4.take(hi, mode="clip")
+    cells[:, 2] &= _CSV_DIGITS2.take(lo, mode="clip")
+    cells.view(np.uint8).reshape(*rows.shape, 24)[:, -1, 19] = ord("\n")
+    text = cells.tobytes().translate(None, b"\0")
+    if fast.all():
+        return text
+    pieces = text.split(_CSV_MARK)
+    out = [pieces[0]]
+    for value, piece in zip(x[~fast], pieces[1:]):
+        out += [("%.6g" % value).encode("ascii"), piece]
+    return b"".join(out)
+
+
 def write_power_map_csv(map_db: np.ndarray, path) -> None:
-    """Plain-text CSV of a dB power map, one row per doppler bin."""
-    np.savetxt(path, np.atleast_2d(map_db), fmt="%.6g", delimiter=",")
+    """Plain-text CSV of a dB power map, one row per doppler bin.
+
+    Each value is its '%.6g' text, ',' between values and '\\n' after each
+    row: byte for byte what np.savetxt(path, np.atleast_2d(map_db),
+    fmt="%.6g", delimiter=",") writes. The map is encoded
+    ``_CSV_BLOCK_ROWS`` rows at a time by ``_encode_csv_rows``, which
+    formats with numpy and leaves to Python's '%.6g' only the cells whose
+    rounding it cannot decide exactly (none on a typical dB map).
+    """
+    arr = np.atleast_2d(np.asarray(map_db, dtype=np.float64))
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 1-d or 2-d map, got {arr.ndim}-d")
+    with open(path, "wb") as f:
+        for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
+            f.write(_encode_csv_rows(arr[start:start + _CSV_BLOCK_ROWS]))
 
 
 def write_power_map_pgm(map_db: np.ndarray, path) -> None:
@@ -185,9 +305,9 @@ def write_power_map_pgm(map_db: np.ndarray, path) -> None:
     arr = np.atleast_2d(np.asarray(map_db, dtype=np.float64))
     lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
-        scaled = np.round((arr - lo) / (hi - lo) * 65535.0).astype(np.uint16)
+        scaled = np.round((arr - lo) / (hi - lo) * 65535.0).astype(">u2")
     else:
-        scaled = np.zeros(arr.shape, dtype=np.uint16)
+        scaled = np.zeros(arr.shape, dtype=">u2")
     with open(path, "wb") as f:
         f.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii"))
-        f.write(scaled.astype(">u2").tobytes())
+        f.write(scaled.tobytes())

@@ -414,10 +414,17 @@ def test_cli_bench_stage_rows_sum_to_at_most_end_to_end(tmp_path, capsys):
         (["replay", "--dest", "127.0.0.1:9", "--loss", "1.5"], "ConfigError"),
         (["replay", "--dest", "127.0.0.1:9", "--reorder", "-1"], "ConfigError"),
         (["listen", "--port", "0", "--idle-timeout-s", "-1"], "ConfigError"),
+        (["listen", "--port", "0", "--frames", "-1"], "ConfigError"),
+        # Checked before the port is bound: an unbindable port is not reached.
+        (["listen", "--port", "70000", "--frames", "0"], "ConfigError"),
+        (["bench", "--workers", "-1"], "ConfigError"),
+        (["bench", "--workers", "0"], "ConfigError"),
     ],
     ids=["dest_without_port", "dest_port_too_big", "listen_port_too_big",
          "listen_window_zero", "replay_seed_negative", "replay_loss_negative",
-         "replay_loss_above_one", "replay_reorder_negative", "listen_idle_timeout_negative"],
+         "replay_loss_above_one", "replay_reorder_negative", "listen_idle_timeout_negative",
+         "listen_frames_negative", "listen_frames_zero_before_bind",
+         "bench_workers_negative", "bench_workers_zero"],
 )
 def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
     # The row's own arguments go last: argparse keeps the last value of a flag.
@@ -428,8 +435,10 @@ def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
     else:
         cfg_path = tmp_path / "pipeline.json"
         _write_json(cfg_path, pipeline_dict())
-        defaults = ["--config", str(cfg_path), "--out", str(tmp_path / "live"),
-                    "--frames", "1", "--idle-timeout-s", "0.1"]
+        defaults = ["--config", str(cfg_path)]
+    if argv[0] == "listen":
+        defaults += ["--out", str(tmp_path / "live"), "--frames", "1",
+                     "--idle-timeout-s", "0.1"]
     argv = argv[:1] + defaults + argv[1:]
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radarkit import (
     Accumulation,
@@ -22,7 +24,7 @@ from radarkit import (
     write_power_map_csv,
     write_power_map_pgm,
 )
-from radarkit.rangedoppler import RangeDopplerCube
+from radarkit.rangedoppler import RangeDopplerCube, _encode_csv_rows
 
 from conftest import brute_force_dft, small_config
 
@@ -220,6 +222,81 @@ def test_power_map_csv_round_trip(tmp_path):
     assert len(lines) == 2  # one row per doppler bin
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
     assert np.allclose(parsed, m, rtol=1e-5)
+
+
+def _encoded_row(values) -> bytes:
+    return _encode_csv_rows(np.array([values], dtype=np.float64))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=8))
+@example([1000.125, float("nan"), 63.2451, -0.0, 1e300, -300.0])
+def test_csv_encoder_matches_percent_g(values):
+    expected = ",".join("%.6g" % v for v in values) + "\n"
+    assert _encoded_row(values) == expected.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (5e-324, "4.94066e-324"),
+        (-300.0, "-300"),
+        (1e-4, "0.0001"),
+        (float(np.nextafter(1e-4, 0.0)), "0.0001"),
+        (float(np.nextafter(1e-4, 1.0)), "0.0001"),
+        (9.999995e-5, "0.0001"),
+        (99999.95, "99999.9"),
+        (999999.5, "1e+06"),
+        (float(np.nextafter(999999.5, 0.0)), "999999"),
+        (float(np.nextafter(999999.5, 2e6)), "1e+06"),
+        (1e6, "1e+06"),
+        (float(np.nextafter(1000.0, 0.0)), "1000"),  # log10 rounds to 3.0 here
+        (1000.125, "1000.12"),  # exact binary ties round half to even
+        (1000.375, "1000.38"),
+        (9.9999996, "10"),  # rounds up into the next decade
+        (999999.7, "1e+06"),  # rounds up out of fixed notation
+        (1.000005, "1.00001"),  # s rounds to the tie 100000.5; x lies above it
+        (100.0015, "100.001"),  # s rounds to the tie 100001.5; x lies below it
+    ],
+)
+def test_csv_encoder_edge_values(value, text):
+    assert text == "%.6g" % value
+    assert _encoded_row([value]) == (text + "\n").encode("ascii")
+
+
+def _savetxt_bytes(m, path) -> bytes:
+    np.savetxt(path, np.atleast_2d(m), fmt="%.6g", delimiter=",")
+    return path.read_bytes()
+
+
+def _db_map(seed):
+    rng = np.random.default_rng(seed)
+    return 10.0 * np.log10(rng.exponential(1e4, (128, 256)))
+
+
+def _non_finite_map():
+    m = _db_map(3)[:20, :30].copy()
+    m[0, 0], m[5, 29], m[19, 7] = np.nan, np.inf, -np.inf
+    m[7, :3] = [0.0, -0.0, -300.0]
+    return m
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_db_map(0), _db_map(1), np.linspace(-300.0, 90.0, 17), np.zeros((0, 3)),
+     np.zeros((1, 0)), _non_finite_map()],
+    ids=["db_map_0", "db_map_1", "one_d", "no_rows", "no_columns", "non_finite"],
+)
+def test_power_map_csv_bytes_match_savetxt(tmp_path, m):
+    path = tmp_path / "map.csv"
+    write_power_map_csv(m, path)
+    assert path.read_bytes() == _savetxt_bytes(m, tmp_path / "ref.csv")
 
 
 def test_power_map_pgm_format(tmp_path):
