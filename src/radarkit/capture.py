@@ -346,6 +346,7 @@ def _frames(path, data_offset: int, header: CaptureFileHeader) -> Iterator[DataC
 
 
 _END = object()  # queued last, when the listener thread ends
+_QUEUE_FRAMES = 64  # completed frames held for the consumer before drop-oldest
 
 
 class CaptureListener:
@@ -365,13 +366,12 @@ class CaptureListener:
         cfg: RadarConfig,
         window: int,
         host: str = "0.0.0.0",
-        queue_frames: int = 64,
     ):
         self.cfg = cfg
         self._frame_bytes = frame_byte_count(cfg)
         self._reassembler = PacketReassembler(window)
         self._buffer = bytearray()
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_frames)
+        self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_FRAMES)
         self._stop = threading.Event()
         self._frame_index = 0
         self._last_report = DropReport()
@@ -467,7 +467,6 @@ def listen(
     host: str = "0.0.0.0",
     max_frames: Optional[int] = None,
     idle_timeout_s: Optional[float] = None,
-    queue_frames: int = 64,
 ) -> Iterator[tuple[DataCube, DropReport]]:
     """Receive UDP capture traffic and yield completed frames with drop reports.
 
@@ -475,7 +474,7 @@ def listen(
     completes within ``idle_timeout_s`` (None = wait forever). Frames with
     zero-filled loss are emitted, not suppressed.
     """
-    listener = CaptureListener(port, cfg, window, host=host, queue_frames=queue_frames)
+    listener = CaptureListener(port, cfg, window, host=host)
     try:
         yield from listener.frames(max_frames=max_frames, idle_timeout_s=idle_timeout_s)
     finally:

@@ -11,6 +11,7 @@ import itertools
 import json
 import socket
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -110,7 +111,8 @@ def _cmd_process(args) -> int:
 def _cmd_listen(args) -> int:
     timeout = args.idle_timeout_s
     _check_flags(
-        (timeout is None or timeout >= 0, "--idle-timeout-s", ">= 0", timeout),
+        (timeout is None or 0 <= timeout <= threading.TIMEOUT_MAX, "--idle-timeout-s",
+         f"in [0, {threading.TIMEOUT_MAX:.0f}]", timeout),
         (args.frames is None or args.frames >= 1, "--frames", ">= 1", args.frames),
     )
     cfg = load_pipeline_config(args.config)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import RadarConfig, RadarError, bin_to_range, bin_to_velocity
+from .core import ConfigError, RadarConfig, RadarError, bin_to_range, bin_to_velocity
 
 
 class WindowError(RadarError):
@@ -37,54 +37,57 @@ class CfarParams:
 
     def __post_init__(self):
         if self.guard_cells < 0:
-            raise ValueError(f"guard_cells must be >= 0, got {self.guard_cells}")
+            raise ConfigError(f"guard_cells must be >= 0, got {self.guard_cells}")
         if self.train_cells < 1:
-            raise ValueError(f"train_cells must be >= 1, got {self.train_cells}")
+            raise ConfigError(f"train_cells must be >= 1, got {self.train_cells}")
         if not 0.0 < self.pfa < 1.0:
-            raise ValueError(f"pfa must be in (0, 1), got {self.pfa}")
+            raise ConfigError(f"pfa must be in (0, 1), got {self.pfa}")
 
 
-def cfar_alpha(pfa: float, n_train: int) -> float:
-    """Threshold multiplier alpha = N (pfa^(-1/N) - 1) for N training cells."""
+def cfar_alpha(pfa: float, n_train: int | np.ndarray):
+    """Threshold multiplier alpha = N (pfa^(-1/N) - 1) for N training cells, per element."""
     return n_train * (pfa ** (-1.0 / n_train) - 1.0)
 
 
-def _cfar_rows(rows: np.ndarray, params: CfarParams):
-    """Vectorized CA-CFAR along the last axis of a 2-d array.
+def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    """``a[start:stop]`` along ``axis``."""
+    return a[(slice(None),) * axis + (slice(start, stop),)]
 
-    Returns (mask, thresholds, noise_estimates), all shaped like ``rows``.
+
+def _training_sums(x: np.ndarray, params: CfarParams, axis: int):
+    """Sum of the training cells on both sides of every cell along ``axis``.
+
+    One cumulative sum over the axis padded by guard + train cells at each end:
+    the far end of the axis (circular) or zeros (linear: edges sum what exists).
     """
-    n = rows.shape[-1]
     g, t = params.guard_cells, params.train_cells
-    if 2 * (g + t) >= n:
-        raise WindowError(
-            f"CFAR window 2*(guard+train)={2 * (g + t)} does not fit axis of {n}"
-        )
-    i = np.arange(n)
+    n, pad = x.shape[axis], g + t
     if params.circular:
-        pad = g + t
-        padded = np.concatenate([rows[..., -pad:], rows, rows[..., :pad]], axis=-1)
-        s = np.concatenate(
-            [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1
-        )
-        left = s[..., i + t] - s[..., i]
-        right = s[..., i + 2 * pad + 1] - s[..., i + pad + g + 1]
-        counts = np.full(n, 2 * t)
+        before, after = _along(x, axis, n - pad, n), _along(x, axis, 0, pad)
     else:
-        s = np.concatenate(
-            [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(rows, axis=-1)], axis=-1
-        )
-        la = np.clip(i - g - t, 0, n)
-        lb = np.clip(i - g, 0, n)
-        ra = np.clip(i + g + 1, 0, n)
-        rb = np.clip(i + g + t + 1, 0, n)
-        left = s[..., lb] - s[..., la]
-        right = s[..., rb] - s[..., ra]
-        counts = (lb - la) + (rb - ra)
-    noise = (left + right) / counts
-    alpha = counts * (params.pfa ** (-1.0 / counts) - 1.0)
-    thresholds = alpha * noise
-    return rows > thresholds, thresholds, noise
+        before = after = np.zeros_like(_along(x, axis, 0, pad))
+    zero = np.zeros_like(_along(x, axis, 0, 1))
+    s = np.cumsum(np.concatenate([zero, before, x, after], axis=axis), axis=axis)
+    left = _along(s, axis, t, n + t) - _along(s, axis, 0, n)
+    right = (_along(s, axis, 2 * pad + 1, n + 2 * pad + 1)
+             - _along(s, axis, pad + g + 1, n + pad + g + 1))
+    return left + right
+
+
+def _cfar(m: np.ndarray, params: CfarParams, axis: int):
+    """CA-CFAR of every cell of ``m`` along ``axis``.
+
+    Returns (mask, thresholds, noise_estimates), all shaped like ``m``. The
+    training count of each cell is the same window sum over ones.
+    """
+    n, pad = m.shape[axis], params.guard_cells + params.train_cells
+    if 2 * pad >= n:
+        raise WindowError(f"CFAR window 2*(guard+train)={2 * pad} does not fit axis of {n}")
+    ones = np.ones([n if a == axis else 1 for a in range(m.ndim)])
+    counts = _training_sums(ones, params, axis)
+    noise = _training_sums(m, params, axis) / counts
+    thresholds = cfar_alpha(params.pfa, counts) * noise
+    return m > thresholds, thresholds, noise
 
 
 def ca_cfar_1d(profile: np.ndarray, params: CfarParams):
@@ -96,8 +99,7 @@ def ca_cfar_1d(profile: np.ndarray, params: CfarParams):
     p = np.asarray(profile, dtype=np.float64)
     if p.ndim != 1:
         raise WindowError(f"expected a 1-d profile, got {p.ndim}-d")
-    mask, thresholds, _ = _cfar_rows(p[np.newaxis, :], params)
-    return mask[0], thresholds[0]
+    return _cfar(p, params, axis=0)[:2]
 
 
 @dataclass(frozen=True)
@@ -122,29 +124,26 @@ def cfar_2d(
     threshold is the larger of the two per-axis thresholds; SNR is the cell
     power against the noise estimate behind that larger threshold. The AND
     composition is conservative: its false-alarm rate is below either axis's
-    pfa on homogeneous noise.
+    pfa on homogeneous noise. Detections are in row-major cell order.
     """
     m = np.asarray(map_linear, dtype=np.float64)
     if m.ndim != 2:
         raise WindowError(f"expected a 2-d map, got {m.ndim}-d")
-    n_doppler = m.shape[0]
-    mask_r, thr_r, noise_r = _cfar_rows(m, range_params)
-    mask_d_t, thr_d_t, noise_d_t = _cfar_rows(np.ascontiguousarray(m.T), doppler_params)
-    mask_d, thr_d, noise_d = mask_d_t.T, thr_d_t.T, noise_d_t.T
-    detections = []
-    for row, col in np.argwhere(mask_r & mask_d):
-        use_range = thr_r[row, col] >= thr_d[row, col]
-        noise = noise_r[row, col] if use_range else noise_d[row, col]
-        detections.append(
-            Detection(
-                range_bin=int(col),
-                doppler_bin=int(row) - n_doppler // 2,
-                power=float(m[row, col]),
-                threshold=float(max(thr_r[row, col], thr_d[row, col])),
-                snr_db=10.0 * math.log10(m[row, col] / noise),
-            )
+    mask_r, thr_r, noise_r = _cfar(m, range_params, axis=1)
+    mask_d, thr_d, noise_d = _cfar(m, doppler_params, axis=0)
+    rows, cols = np.nonzero(mask_r & mask_d)
+    thr_r, thr_d = thr_r[rows, cols], thr_d[rows, cols]
+    power = m[rows, cols]
+    # Divided in numpy as before: a zero noise estimate gives inf, not ZeroDivisionError.
+    ratio = power / np.where(thr_r >= thr_d, noise_r[rows, cols], noise_d[rows, cols])
+    half = m.shape[0] // 2
+    return [
+        Detection(col, row - half, p, threshold, 10.0 * math.log10(r))
+        for row, col, p, threshold, r in zip(
+            rows.tolist(), cols.tolist(), power.tolist(),
+            np.maximum(thr_r, thr_d).tolist(), ratio.tolist(),
         )
-    return detections
+    ]
 
 
 def log_gabor_filter(
@@ -271,16 +270,13 @@ def to_point_cloud(
 POINT_CLOUD_CSV_HEADER = "frame,range_m,azimuth_deg,velocity_m_s,snr_db,x_m,y_m"
 
 
-def write_point_cloud_csv(clouds: Iterable[PointCloud] | PointCloud, path) -> None:
-    """CSV of point clouds, one row per point, 6 significant digits."""
-    if isinstance(clouds, PointCloud):
-        clouds = [clouds]
+def write_point_cloud_csv(cloud: PointCloud, path) -> None:
+    """CSV of one point cloud, one row per point, 6 significant digits."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(POINT_CLOUD_CSV_HEADER + "\n")
-        for cloud in clouds:
-            for p in cloud.points:
-                f.write(
-                    f"{cloud.frame_index},{p.range_m:.6g},{p.azimuth_deg:.6g},"
-                    f"{p.radial_velocity_m_s:.6g},{p.snr_db:.6g},"
-                    f"{p.x_m:.6g},{p.y_m:.6g}\n"
-                )
+        for p in cloud.points:
+            f.write(
+                f"{cloud.frame_index},{p.range_m:.6g},{p.azimuth_deg:.6g},"
+                f"{p.radial_velocity_m_s:.6g},{p.snr_db:.6g},"
+                f"{p.x_m:.6g},{p.y_m:.6g}\n"
+            )

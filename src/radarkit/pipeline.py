@@ -69,9 +69,17 @@ class PipelineError(RadarError):
 
 @dataclass(frozen=True)
 class LogGaborParams:
+    """``log_gabor_filter`` parameters, checked whether or not it is enabled."""
+
     enabled: bool = False
     f0_cycles: float = 0.1
     sigma_ratio: float = 0.55
+
+    def __post_init__(self):
+        if not 0.0 < self.f0_cycles < 0.5:
+            raise ConfigError(f"f0_cycles must be in (0, 0.5), got {self.f0_cycles!r}")
+        if not 0.0 < self.sigma_ratio < 1.0:
+            raise ConfigError(f"sigma_ratio must be in (0, 1), got {self.sigma_ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +105,23 @@ class PipelineConfig:
 
     def __post_init__(self):
         # Values that would otherwise fail on frame 0; per-method ones if selected.
-        n_virtual = self.radar.num_tx * self.radar.num_rx
+        radar = self.radar
+        n_virtual = radar.num_tx * radar.num_rx
         method, n_sources = self.aoa_method, self.music_n_sources
         min_step = 180.0 / (MAX_ANGLE_BINS + 1)  # at most MAX_ANGLE_BINS grid angles
         for ok, name, allowed in [
+            (_window_fits(self.range_cfar, radar.samples_per_chirp), "range_cfar",
+             f"a window with 2*(guard_cells+train_cells) < samples_per_chirp "
+             f"({radar.samples_per_chirp})"),
+            (_window_fits(self.doppler_cfar, radar.chirps_per_frame_per_tx), "doppler_cfar",
+             f"a window with 2*(guard_cells+train_cells) < chirps_per_frame_per_tx "
+             f"({radar.chirps_per_frame_per_tx})"),
+            # On the plan the frames will use; uniform_spacing() is None below 2 elements.
+            (method is not AoaMethod.FFT or self.aoa_plan.array.uniform_spacing() is not None,
+             "aoa_method", "bartlett, capon or music unless the virtual array is "
+             "uniformly spaced with >= 2 elements (fft)"),
+            (method is not AoaMethod.MUSIC or n_virtual >= 2,
+             "aoa_method", "bartlett or capon on a 1-element virtual array"),
             (self.connectivity in (4, 8), "connectivity", "4 or 8"),
             (self.max_angles_per_detection >= 1, "max_angles_per_detection", ">= 1"),
             (0 < self.aoa_grid_step_deg < 90, "aoa_grid_step_deg", "in (0, 90)"),
@@ -130,6 +151,10 @@ class PipelineConfig:
     def config_sha256(self) -> str:
         blob = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _window_fits(params: CfarParams, n: int) -> bool:
+    return 2 * (params.guard_cells + params.train_cells) < n
 
 
 def pipeline_config_from_dict(d: dict) -> PipelineConfig:

@@ -16,7 +16,7 @@ from radarkit import (
     pipeline_config_from_dict,
     write_capture_file,
 )
-from radarkit.aoa import MAX_ANGLE_BINS
+from radarkit.aoa import MAX_ANGLE_BINS, virtual_array
 from radarkit.capture import FORMAT_VERSION, MAGIC
 from radarkit.cli import main
 from radarkit.detect import CfarParams
@@ -69,13 +69,19 @@ def pipeline_configs(draw):
     n_sources = st.none()
     if n_virtual > 1:
         n_sources |= st.integers(1, n_virtual - 1)
+    # FFT needs a uniformly spaced virtual array of >= 2 elements, MUSIC >= 2.
+    methods = [AoaMethod.BARTLETT, AoaMethod.CAPON]
+    if n_virtual > 1:
+        methods.append(AoaMethod.MUSIC)
+    if virtual_array(radar).uniform_spacing() is not None:
+        methods.append(AoaMethod.FFT)
     return PipelineConfig(
         radar=radar,
         range_window=draw(st.sampled_from(WindowKind)),
         doppler_window=draw(st.sampled_from(WindowKind)),
         range_cfar=draw(_cfar()),
         doppler_cfar=draw(_cfar()),
-        aoa_method=draw(st.sampled_from(AoaMethod)),
+        aoa_method=draw(st.sampled_from(methods)),
         # Grid steps below 180/(MAX_ANGLE_BINS + 1) are rejected under the grid methods.
         aoa_grid_step_deg=draw(_floats(180.0 / (MAX_ANGLE_BINS + 1), 90.0, exclude_max=True)),
         aoa_fft_bins=draw(st.integers(n_virtual, 1024)),
@@ -85,7 +91,8 @@ def pipeline_configs(draw):
         capon_loading=draw(st.integers(0, 3) | _floats(0.0, 1.0)),
         max_angles_per_detection=draw(st.integers(1, 4)),
         log_gabor=draw(st.builds(
-            LogGaborParams, st.booleans(), _floats(0.01, 0.5), _floats(0.1, 1.0)
+            LogGaborParams, st.booleans(), _floats(0.01, 0.5, exclude_max=True),
+            _floats(0.1, 1.0, exclude_max=True)
         )),
         accumulation=draw(st.sampled_from(Accumulation)),
         connectivity=draw(st.sampled_from([4, 8])),
@@ -179,6 +186,26 @@ MALFORMED = {
                                None, "ConfigError", "capon_loading"),
     "radar_num_tx_zero": ({"radar": dict(c0_dict(), num_tx=0)}, None, None,
                           "ConfigError", "radar: num_tx"),
+    "range_cfar_window_fills_axis": (
+        {"range_cfar": {"guard_cells": 4, "train_cells": 124}}, None, None,
+        "ConfigError", "range_cfar"),
+    "doppler_cfar_window_fills_axis": (
+        {"doppler_cfar": {"guard_cells": 30, "train_cells": 34}}, None, None,
+        "ConfigError", "doppler_cfar"),
+    "doppler_cfar_one_chirp": ({"radar": dict(c0_dict(), chirps_per_frame_per_tx=1)},
+                               None, None, "ConfigError", "doppler_cfar"),
+    "fft_one_element": ({"radar": dict(c0_dict(), num_tx=1, num_rx=1)}, None, None,
+                        "ConfigError", "aoa_method"),
+    "fft_non_uniform": ({"radar": dict(c0_dict(), tx_spacing_wavelengths=1.0)}, None,
+                        None, "ConfigError", "aoa_method"),
+    "music_one_element": ({"radar": dict(c0_dict(), num_tx=1, num_rx=1),
+                           "aoa_method": "music"}, None, None, "ConfigError", "aoa_method"),
+    "log_gabor_f0_nyquist": ({"log_gabor": {"enabled": True, "f0_cycles": 0.5}}, None, None,
+                             "ConfigError", "log_gabor: f0_cycles"),
+    "log_gabor_sigma_one": ({"log_gabor": {"enabled": True, "sigma_ratio": 1.0}}, None,
+                            None, "ConfigError", "log_gabor: sigma_ratio"),
+    "log_gabor_disabled_f0_zero": ({"log_gabor": {"f0_cycles": 0.0}}, None, None,
+                                   "ConfigError", "log_gabor: f0_cycles"),
 }
 
 

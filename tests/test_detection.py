@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarkit import (
     CfarParams,
@@ -25,7 +27,7 @@ from radarkit import (
     to_point_cloud,
     write_point_cloud_csv,
 )
-
+from radarkit.detect import _cfar
 
 
 def test_cfar_params_validation():
@@ -161,6 +163,123 @@ def test_detection_fields_consistent(c0):
     for det in detections:
         assert det.power > det.threshold
         assert det.snr_db > 0
+
+
+def _reference_cfar_rows(rows, params):
+    """The former two-branch CA-CFAR along the last axis, kept as the oracle."""
+    n = rows.shape[-1]
+    g, t = params.guard_cells, params.train_cells
+    i = np.arange(n)
+    if params.circular:
+        pad = g + t
+        padded = np.concatenate([rows[..., -pad:], rows, rows[..., :pad]], axis=-1)
+        s = np.concatenate(
+            [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1
+        )
+        left = s[..., i + t] - s[..., i]
+        right = s[..., i + 2 * pad + 1] - s[..., i + pad + g + 1]
+        counts = np.full(n, 2 * t)
+    else:
+        s = np.concatenate(
+            [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(rows, axis=-1)], axis=-1
+        )
+        la = np.clip(i - g - t, 0, n)
+        lb = np.clip(i - g, 0, n)
+        ra = np.clip(i + g + 1, 0, n)
+        rb = np.clip(i + g + t + 1, 0, n)
+        left = s[..., lb] - s[..., la]
+        right = s[..., rb] - s[..., ra]
+        counts = (lb - la) + (rb - ra)
+    noise = (left + right) / counts
+    alpha = counts * (params.pfa ** (-1.0 / counts) - 1.0)
+    thresholds = alpha * noise
+    return rows > thresholds, thresholds, noise
+
+
+def _reference_cfar_2d(m, range_params, doppler_params):
+    """The former per-cell detection loop over transposed Doppler results."""
+    n_doppler = m.shape[0]
+    mask_r, thr_r, noise_r = _reference_cfar_rows(m, range_params)
+    mask_d_t, thr_d_t, noise_d_t = _reference_cfar_rows(
+        np.ascontiguousarray(m.T), doppler_params
+    )
+    mask_d, thr_d, noise_d = mask_d_t.T, thr_d_t.T, noise_d_t.T
+    detections = []
+    for row, col in np.argwhere(mask_r & mask_d):
+        use_range = thr_r[row, col] >= thr_d[row, col]
+        noise = noise_r[row, col] if use_range else noise_d[row, col]
+        detections.append(
+            Detection(
+                range_bin=int(col),
+                doppler_bin=int(row) - n_doppler // 2,
+                power=float(m[row, col]),
+                threshold=float(max(thr_r[row, col], thr_d[row, col])),
+                snr_db=10.0 * math.log10(m[row, col] / noise),
+            )
+        )
+    return detections
+
+
+@st.composite
+def _cfar_maps(draw):
+    """Finite non-negative maps of 8-300 cells per axis, log-uniform over a
+    drawn part of 1e-6..1e9, some with all-zero rows."""
+    shape = (draw(st.integers(8, 300)), draw(st.integers(8, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = sorted(draw(st.floats(-6.0, 9.0)) for _ in range(2))
+    m = 10.0 ** rng.uniform(lo, hi, shape)
+    m[rng.random(shape[0]) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))] = 0.0
+    return m
+
+
+@st.composite
+def _fitting_params(draw, n):
+    """CfarParams whose window fits an axis of n cells."""
+    half = (n - 1) // 2  # 2 * (guard + train) <= n - 1
+    guard = draw(st.integers(0, min(4, half - 1)))
+    return CfarParams(
+        guard_cells=guard,
+        train_cells=draw(st.integers(1, min(16, half - guard))),
+        pfa=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        circular=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cfar_kernel_bit_identical_to_reference(data):
+    m = data.draw(_cfar_maps())
+    axis = data.draw(st.sampled_from([0, 1]))
+    params = data.draw(_fitting_params(m.shape[axis]))
+    # A subnormal pfa overflows alpha to inf (and inf * 0 noise is nan) in both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if axis == 1:
+            expected = _reference_cfar_rows(m, params)
+        else:
+            expected = [a.T for a in _reference_cfar_rows(np.ascontiguousarray(m.T), params)]
+        got = _cfar(m, params, axis)
+        line = (0, slice(None)) if axis == 1 else (slice(None), 0)
+        got_1d = ca_cfar_1d(m[line], params)
+    for g, want in zip(got, expected):
+        assert g.shape == want.shape
+        assert np.array_equal(g, want, equal_nan=True)
+    for g, want in zip(got_1d, expected):
+        assert np.array_equal(g, want[line], equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cfar_2d_detections_equal_reference_loop(data):
+    m = data.draw(_cfar_maps())
+    range_params = data.draw(_fitting_params(m.shape[1]))
+    doppler_params = data.draw(_fitting_params(m.shape[0]))
+    # An isolated cell in a zero neighbourhood has zero noise (inf SNR in both);
+    # a subnormal pfa overflows alpha in both.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = cfar_2d(m, range_params, doppler_params)
+        want = _reference_cfar_2d(m, range_params, doppler_params)
+    assert got == want
+    assert repr(got) == repr(want)  # same types and float bits
 
 
 def test_log_gabor_zero_map():

@@ -21,7 +21,7 @@ from radarkit import (
 )
 from radarkit.capture import CaptureListener, CapturePacket, write_capture_file
 from radarkit.cli import main
-from radarkit.detect import CfarParams
+from radarkit.detect import WindowError
 
 from conftest import C0
 
@@ -177,24 +177,23 @@ def test_run_pipeline_worker_count_does_not_change_results(c0):
         assert a.point_cloud == b.point_cloud
 
 
-def test_run_pipeline_attaches_frame_index_to_errors(c0):
-    # Doppler CFAR window larger than the 128-bin axis fails at stage time.
-    bad = PipelineConfig(
-        radar=c0,
-        doppler_cfar=CfarParams(guard_cells=30, train_cells=40, pfa=1e-3),
-    )
+def _failing_stage(*args):
+    raise WindowError("stage failed")
+
+
+def test_run_pipeline_attaches_frame_index_to_errors(c0, monkeypatch):
+    # Config values that would fail at stage time are rejected at load, so a
+    # stage is made to fail instead.
+    monkeypatch.setattr("radarkit.pipeline.cfar_2d", _failing_stage)
     frames = _one_target_frames(2)
     with pytest.raises(PipelineError, match="frame 1"):
-        run_pipeline(bad, frames[1:])
+        run_pipeline(PipelineConfig(radar=c0), frames[1:])
 
 
-def test_process_frame_raises_pipeline_error_with_frame_index(c0):
-    bad = PipelineConfig(
-        radar=c0,
-        doppler_cfar=CfarParams(guard_cells=30, train_cells=40, pfa=1e-3),
-    )
+def test_process_frame_raises_pipeline_error_with_frame_index(c0, monkeypatch):
+    monkeypatch.setattr("radarkit.pipeline.cfar_2d", _failing_stage)
     with pytest.raises(PipelineError, match="frame 1") as e:
-        process_frame(bad, _one_target_frames(2)[1])
+        process_frame(PipelineConfig(radar=c0), _one_target_frames(2)[1])
     assert e.value.frame_index == 1
 
 
@@ -417,6 +416,8 @@ def test_cli_bench_stage_rows_sum_to_at_most_end_to_end(tmp_path, capsys):
         (["listen", "--port", "0", "--frames", "-1"], "ConfigError"),
         # Checked before the port is bound: an unbindable port is not reached.
         (["listen", "--port", "70000", "--frames", "0"], "ConfigError"),
+        (["listen", "--port", "70000", "--idle-timeout-s", "inf"], "ConfigError"),
+        (["listen", "--port", "70000", "--idle-timeout-s", "1e300"], "ConfigError"),
         (["bench", "--workers", "-1"], "ConfigError"),
         (["bench", "--workers", "0"], "ConfigError"),
     ],
@@ -424,6 +425,7 @@ def test_cli_bench_stage_rows_sum_to_at_most_end_to_end(tmp_path, capsys):
          "listen_window_zero", "replay_seed_negative", "replay_loss_negative",
          "replay_loss_above_one", "replay_reorder_negative", "listen_idle_timeout_negative",
          "listen_frames_negative", "listen_frames_zero_before_bind",
+         "listen_idle_timeout_inf_before_bind", "listen_idle_timeout_huge_before_bind",
          "bench_workers_negative", "bench_workers_zero"],
 )
 def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
