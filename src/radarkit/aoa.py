@@ -80,8 +80,8 @@ class VirtualArray:
 
 def virtual_array(cfg: RadarConfig) -> VirtualArray:
     """Virtual array implied by the config's TX/RX line geometry."""
-    t = np.arange(cfg.num_tx)
-    r = np.arange(cfg.num_rx)
+    t = np.arange(cfg.num_tx, dtype=np.float64)
+    r = np.arange(cfg.num_rx, dtype=np.float64)
     pos = (
         t[:, np.newaxis] * cfg.tx_spacing_wavelengths
         + r[np.newaxis, :] * cfg.rx_spacing_wavelengths

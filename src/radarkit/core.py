@@ -19,6 +19,7 @@ from dataclasses import MISSING, dataclass, field
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
+_INT64_MAX = 2**63 - 1
 
 
 class RadarError(Exception):
@@ -86,24 +87,42 @@ def validate_config(cfg: RadarConfig) -> RadarConfig:
         ("chirps_per_frame_per_tx", cfg.chirps_per_frame_per_tx, 1),
         ("samples_per_chirp", cfg.samples_per_chirp, 2),
     ]
+    frame_bytes = 4  # int16 I and Q per sample
     for name, value, minimum in counts:
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        frame_bytes *= int(value)
+        if frame_bytes > _INT64_MAX:
+            raise ConfigError(
+                f"{name} must keep the frame size (num_tx * chirps_per_frame_per_tx"
+                f" * num_rx * samples_per_chirp * 4 bytes) within int64, got {value}"
+            )
+    # ``far`` is the farthest virtual element: TX t, RX r sits at
+    # t * tx_spacing + r * rx_spacing wavelengths.
     positives = [
-        ("sample_rate_hz", cfg.sample_rate_hz),
-        ("chirp_slope_hz_per_s", cfg.chirp_slope_hz_per_s),
-        ("start_freq_hz", cfg.start_freq_hz),
-        ("chirp_period_s", cfg.chirp_period_s),
-        ("rx_spacing_wavelengths", cfg.rx_spacing_wavelengths),
-        ("tx_spacing_wavelengths", cfg.tx_spacing_wavelengths),
+        ("sample_rate_hz", cfg.sample_rate_hz, 0),
+        ("chirp_slope_hz_per_s", cfg.chirp_slope_hz_per_s, 0),
+        ("start_freq_hz", cfg.start_freq_hz, 0),
+        ("chirp_period_s", cfg.chirp_period_s, 0),
+        ("rx_spacing_wavelengths", cfg.rx_spacing_wavelengths, cfg.num_rx - 1),
+        ("tx_spacing_wavelengths", cfg.tx_spacing_wavelengths, cfg.num_tx - 1),
     ]
-    for name, value in positives:
+    far = 0.0
+    for name, value, count in positives:
+        if isinstance(value, int) and abs(value) > _INT64_MAX:
+            raise ConfigError(f"{name} given as an integer must fit int64, got {value}")
         if not (isinstance(value, (int, float, np.floating)) and math.isfinite(value)):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if value <= 0:
             raise ConfigError(f"{name} must be > 0, got {value}")
+        far += count * float(value)
+        if not math.isfinite(far):
+            raise ConfigError(
+                f"{name} must place every virtual element at a finite position, "
+                f"got {value!r}"
+            )
     # Sampling must not outrun the ramp: the swept bandwidth covered while
     # sampling (S * N_s / f_s) cannot exceed what the chirp period allows.
     sampled_bw = cfg.chirp_slope_hz_per_s * cfg.samples_per_chirp / cfg.sample_rate_hz

@@ -42,6 +42,13 @@ class CfarParams:
             raise ConfigError(f"train_cells must be >= 1, got {self.train_cells}")
         if not 0.0 < self.pfa < 1.0:
             raise ConfigError(f"pfa must be in (0, 1), got {self.pfa}")
+        with np.errstate(over="ignore"):
+            alpha = cfar_alpha(np.float64(self.pfa), 1)
+        if not np.isfinite(alpha):
+            raise ConfigError(
+                "pfa must give a finite threshold factor with one training cell "
+                f"(pfa above about 5.6e-309), got {self.pfa}"
+            )
 
 
 def cfar_alpha(pfa: float, n_train: int | np.ndarray):

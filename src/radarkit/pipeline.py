@@ -10,6 +10,16 @@ estimates all detections of a frame in one batch against the config's
 stage's wall time and reports any stage failure as ``PipelineError``.
 Everything is deterministic given the input frames, so runs reproduce
 byte-identically regardless of worker count.
+
+The range FFT, Doppler FFT and power map run in work buffers of the calling
+thread: the range cube, the Doppler cube and its per-antenna |z|^2, each the
+size of one frame's samples (4 MiB for a 2 TX, 4 RX, 128-chirp, 256-sample
+frame), so about 2.5 cubes per thread that processes frames. They are
+allocated on the thread's first frame, reused by every later frame of the
+same size and freed with the thread. The windows are read-only arrays built
+once per window kind and length. A frame's range-Doppler cube is a view of
+its thread's buffer and is valid only until that thread's next frame;
+nothing in a ``FrameResult`` refers to the buffers.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ import functools
 import hashlib
 import json
 import platform
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -181,6 +192,20 @@ class FrameResult:
     stage_ms: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
 
 
+_thread = threading.local()
+
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's flat range-cube, Doppler-cube and |z|^2 buffers of ``size``
+    elements each; replaced only when a frame of another size arrives."""
+    buffers = getattr(_thread, "workspace", None)
+    if buffers is None or buffers[0].size != size:
+        buffers = (np.empty(size, np.complex128), np.empty(size, np.complex128),
+                   np.empty(size, np.float64))
+        _thread.workspace = buffers
+    return buffers
+
+
 _STAGES = ("range_fft", "doppler_fft", "power_map", "cfar_2d", "group_peaks", "aoa",
            "point_cloud")
 
@@ -192,11 +217,20 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     """
     marks = [time.perf_counter()]
     try:
-        range_cube = range_processing(cube, cfg.range_window)
+        radar = cfg.radar
+        rd_shape = (radar.chirps_per_frame_per_tx, radar.num_tx * radar.num_rx,
+                    radar.samples_per_chirp)
+        range_buf, doppler_buf, power_buf = _workspace(cube.data.size)
+        range_cube = range_processing(
+            cube, cfg.range_window, out=range_buf.reshape(cube.shape)
+        )
         marks.append(time.perf_counter())
-        rd = doppler_processing(range_cube, cfg.radar, cfg.doppler_window)
+        rd = doppler_processing(
+            range_cube, radar, cfg.doppler_window,
+            out=doppler_buf.reshape(rd_shape), overwrite_input=True,
+        )
         marks.append(time.perf_counter())
-        linear = accumulate_power(rd, cfg.accumulation)
+        linear = accumulate_power(rd, cfg.accumulation, work=power_buf.reshape(rd_shape))
         if cfg.log_gabor.enabled:
             linear = log_gabor_filter(
                 linear, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio

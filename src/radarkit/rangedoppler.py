@@ -8,6 +8,7 @@ RangeDopplerCube is centered so bin N_c/2 is zero velocity.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,14 @@ def window(kind: WindowKind, length: int) -> np.ndarray:
     raise ValueError(f"unknown window kind {kind!r}")
 
 
+@functools.cache
+def _shared_window(kind: WindowKind, length: int) -> np.ndarray:
+    """Read-only ``window(kind, length)``, built once and shared by every frame."""
+    w = window(kind, length)
+    w.setflags(write=False)
+    return w
+
+
 def coherent_gain(kind: WindowKind, length: int) -> float:
     """Mean of the window coefficients: the scaling an on-bin tone's peak sees."""
     return float(window(kind, length).mean())
@@ -71,14 +80,19 @@ def coherent_gain(kind: WindowKind, length: int) -> float:
 def range_processing(
     cube: DataCube,
     window_kind: WindowKind = WindowKind.RECTANGULAR,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Window and FFT each chirp along the sample axis.
 
     Returns a (chirp, rx, range_bin) complex array; no shift is applied since
-    complex baseband range is one-sided.
+    complex baseband range is one-sided. ``out``, a complex128 array of the
+    cube's shape, receives the windowed samples and then, in place, their
+    FFT; without it the result is a new array.
     """
-    w = window(window_kind, cube.config.samples_per_chirp)
-    return np.fft.fft(cube.data * w[np.newaxis, np.newaxis, :], axis=-1)
+    w = _shared_window(window_kind, cube.config.samples_per_chirp)
+    windowed = np.multiply(cube.data, w, out=out)
+    return np.fft.fft(windowed, axis=-1, out=windowed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +107,8 @@ class RangeDopplerCube:
     config: RadarConfig = field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        # A read-only view: the array passed in keeps its own flags.
+        arr = np.ascontiguousarray(self.data, dtype=np.complex128).view()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -119,12 +134,22 @@ def doppler_processing(
     range_cube: np.ndarray,
     cfg: RadarConfig,
     window_kind: WindowKind = WindowKind.RECTANGULAR,
+    *,
+    out: np.ndarray | None = None,
+    overwrite_input: bool = False,
 ) -> RangeDopplerCube:
     """Regroup TX-interleaved chirps into virtual receivers and FFT slow time.
 
     The chirp axis (TX-major interleave: chirp q fired by TX q mod M) is
     reshaped to (slow_time, virtual_rx = tx * num_rx + rx), windowed and
     FFT'd along slow time, then center-shifted so bin N_c/2 is zero Doppler.
+
+    ``out``, a complex128 array of the (doppler, virtual_rx, range) shape,
+    receives the shifted spectrum, and the returned cube is a read-only view
+    of it; without it the cube holds a new array. ``range_cube`` is left
+    unchanged unless ``overwrite_input`` is set: then the window and the FFT
+    run in place in it (a writable complex128 array), which spares a
+    cube-sized temporary and leaves its content undefined.
     """
     arr = np.asarray(range_cube)
     if arr.ndim != 3:
@@ -141,22 +166,32 @@ def doppler_processing(
     # (slow, tx, rx, range): chirp q = slow * M + tx by the interleave order.
     regrouped = arr.reshape(n_slow, m, n_rx, n_range)
     regrouped = regrouped.reshape(n_slow, m * n_rx, n_range)
-    w = window(window_kind, n_slow)
-    spectrum = np.fft.fft(regrouped * w[:, np.newaxis, np.newaxis], axis=0)
-    spectrum = np.fft.fftshift(spectrum, axes=0)
-    return RangeDopplerCube(data=spectrum, config=cfg)
+    w = _shared_window(window_kind, n_slow)[:, np.newaxis, np.newaxis]
+    spectrum = np.multiply(regrouped, w, out=regrouped if overwrite_input else None)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    # np.fft.fftshift(spectrum, axes=0), as one copy into the output.
+    shifted = np.empty_like(spectrum) if out is None else out
+    half = n_slow - n_slow // 2
+    shifted[n_slow // 2:] = spectrum[:half]
+    shifted[:n_slow // 2] = spectrum[half:]
+    return RangeDopplerCube(data=shifted, config=cfg)
 
 
 def accumulate_power(
     rd_cube: RangeDopplerCube,
     accumulation: Accumulation = Accumulation.NONCOHERENT_SUM,
+    *,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Linear-power (doppler, range) map accumulated across virtual receivers.
 
     noncoherent_sum adds per-antenna |z|^2; coherent_sum takes |sum z|^2.
+    ``work``, a float64 array shaped like ``rd_cube.data``, holds the
+    per-antenna |z|^2 of noncoherent_sum; without it that is a new array.
     """
     if accumulation is Accumulation.NONCOHERENT_SUM:
-        return np.sum(np.abs(rd_cube.data) ** 2, axis=1)
+        power = np.abs(rd_cube.data, out=work)
+        return np.sum(np.square(power, out=power), axis=1)
     if accumulation is Accumulation.COHERENT_SUM:
         return np.abs(np.sum(rd_cube.data, axis=1)) ** 2
     raise ValueError(f"unknown accumulation {accumulation!r}")

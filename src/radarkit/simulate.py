@@ -116,8 +116,8 @@ def synthesize_frame(
     r = np.arange(cfg.num_rx)
     # (chirps, rx): position of each chirp's TX plus each RX, in wavelengths.
     antenna = (
-        (q % cfg.num_tx)[:, np.newaxis] * cfg.tx_spacing_wavelengths
-        + r[np.newaxis, :] * cfg.rx_spacing_wavelengths
+        (q % cfg.num_tx)[:, np.newaxis] * float(cfg.tx_spacing_wavelengths)
+        + r[np.newaxis, :] * float(cfg.rx_spacing_wavelengths)
     )
 
     range_m, velocity, azimuth_deg, amplitude = np.array(

@@ -52,7 +52,8 @@ def _cfar():
         CfarParams,
         guard_cells=st.integers(0, 4),
         train_cells=st.integers(1, 16),
-        pfa=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        # A subnormal pfa has no finite threshold factor at one training cell.
+        pfa=_floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
         circular=st.booleans(),
     )
 
@@ -206,6 +207,18 @@ MALFORMED = {
                             None, "ConfigError", "log_gabor: sigma_ratio"),
     "log_gabor_disabled_f0_zero": ({"log_gabor": {"f0_cycles": 0.0}}, None, None,
                                    "ConfigError", "log_gabor: f0_cycles"),
+    "num_rx_beyond_int64": ({"radar": dict(c0_dict(), num_rx=2**63)}, None, None,
+                            "ConfigError", "radar: num_rx"),
+    "frame_size_beyond_int64": ({"radar": dict(c0_dict(), samples_per_chirp=2**60)}, None,
+                                None, "ConfigError", "radar: samples_per_chirp"),
+    "rx_spacing_int_beyond_int64": (
+        {"radar": dict(c0_dict(), rx_spacing_wavelengths=9223372036854775808)}, None, None,
+        "ConfigError", "radar: rx_spacing_wavelengths"),
+    "rx_spacing_element_overflows": (
+        {"radar": dict(c0_dict(), rx_spacing_wavelengths=1e308)}, None, None,
+        "ConfigError", "radar: rx_spacing_wavelengths"),
+    "pfa_subnormal": ({"range_cfar": {"guard_cells": 0, "train_cells": 1, "pfa": 5e-324}},
+                      None, None, "ConfigError", "range_cfar: pfa"),
 }
 
 

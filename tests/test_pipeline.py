@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from radarkit import (
     AoaMethod,
     ConfigError,
+    DataCube,
     NoiseSpec,
     PipelineConfig,
     PipelineError,
@@ -23,7 +25,7 @@ from radarkit.capture import CaptureListener, CapturePacket, write_capture_file
 from radarkit.cli import main
 from radarkit.detect import WindowError
 
-from conftest import C0
+from conftest import C0, small_config
 
 AMPLITUDE = 1024.0
 NOISE_30DB = AMPLITUDE**2 / 10**3  # per-sample SNR 30 dB
@@ -175,6 +177,41 @@ def test_run_pipeline_worker_count_does_not_change_results(c0):
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.power_map_db, b.power_map_db)
         assert a.point_cloud == b.point_cloud
+
+
+def test_back_to_back_frames_on_one_thread_leave_earlier_results(c0):
+    cfg = PipelineConfig(radar=c0)
+    first = _one_target_frames(1)[0]
+    second = synthesize_frame(
+        c0, [PointTarget(20.0, -1.0, -10.0, AMPLITUDE)], NoiseSpec(NOISE_30DB, 9), 1
+    )
+    a = process_frame(cfg, first)
+    kept_map, kept_points = a.power_map_db.copy(), list(a.point_cloud.points)
+    b = process_frame(cfg, second)
+    assert np.array_equal(a.power_map_db, kept_map)
+    assert list(a.point_cloud.points) == kept_points
+    assert not np.array_equal(a.power_map_db, b.power_map_db)
+    # A frame of another size in between gets its own buffers; the next C0
+    # frame gives the same result as before.
+    small = small_config(chirps=32, samples=64)
+    data = np.random.default_rng(0).standard_normal((64, 2, 64)) + 0j
+    process_frame(PipelineConfig(radar=small), DataCube(data, 0, small))
+    again = process_frame(cfg, second)
+    assert np.array_equal(again.power_map_db, b.power_map_db)
+    assert again.point_cloud == b.point_cloud
+
+
+def test_process_frame_allocates_less_than_a_cube_after_warm_up(c0):
+    cfg = PipelineConfig(radar=c0)
+    frames = _one_target_frames(2)
+    process_frame(cfg, frames[0])  # allocates this thread's front-end buffers
+    tracemalloc.start()
+    try:
+        process_frame(cfg, frames[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < frames[1].data.nbytes
 
 
 def _failing_stage(*args):

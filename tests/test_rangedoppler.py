@@ -171,6 +171,75 @@ def test_doppler_rejects_bad_chirp_count(c0):
         doppler_processing(bad, c0)
 
 
+def _reference_stages(cube, range_kind, doppler_kind):
+    """The former stage expressions: range cube, Doppler cube, both power maps."""
+    cfg = cube.config
+    n_slow = cfg.chirps_per_frame_per_tx
+    rc = np.fft.fft(
+        cube.data * window(range_kind, cfg.samples_per_chirp)[np.newaxis, np.newaxis, :],
+        axis=-1,
+    )
+    regrouped = rc.reshape(n_slow, cfg.num_tx * cfg.num_rx, cfg.samples_per_chirp)
+    w = window(doppler_kind, n_slow)
+    rd = np.fft.fftshift(np.fft.fft(regrouped * w[:, np.newaxis, np.newaxis], axis=0), axes=0)
+    return rc, rd, np.sum(np.abs(rd) ** 2, axis=1), np.abs(np.sum(rd, axis=1)) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_tx=st.integers(1, 3),
+    num_rx=st.integers(1, 4),
+    chirps=st.integers(2, 33),
+    samples=st.integers(2, 40),
+    range_kind=st.sampled_from(WindowKind),
+    doppler_kind=st.sampled_from(WindowKind),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stages_bit_identical_to_reference_and_leave_inputs(
+    num_tx, num_rx, chirps, samples, range_kind, doppler_kind, seed
+):
+    cfg = small_config(num_tx=num_tx, num_rx=num_rx, chirps=chirps, samples=samples)
+    rng = np.random.default_rng(seed)
+    shape = (cfg.chirps_per_frame, num_rx, samples)
+    cube = DataCube(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0, cfg)
+    rc_ref, rd_ref, noncoherent_ref, coherent_ref = _reference_stages(
+        cube, range_kind, doppler_kind
+    )
+
+    rc = range_processing(cube, range_kind)
+    assert np.array_equal(rc, rc_ref)
+    rc_before = rc.copy()
+    rd = doppler_processing(rc, cfg, doppler_kind)
+    assert np.array_equal(rd.data, rd_ref)
+    assert np.array_equal(rc, rc_before) and rc.flags.writeable
+    rd_before = rd.data.copy()
+    assert np.array_equal(accumulate_power(rd, Accumulation.NONCOHERENT_SUM), noncoherent_ref)
+    assert np.array_equal(accumulate_power(rd, Accumulation.COHERENT_SUM), coherent_ref)
+    assert np.array_equal(rd.data, rd_before)
+
+    # The same kernels on caller-owned buffers, the Doppler FFT in place.
+    rc_out = np.empty(shape, np.complex128)
+    rd_out = np.empty(rd_ref.shape, np.complex128)
+    work = np.empty(rd_ref.shape, np.float64)
+    assert range_processing(cube, range_kind, out=rc_out) is rc_out
+    assert np.array_equal(rc_out, rc_ref)
+    rd = doppler_processing(rc_out, cfg, doppler_kind, out=rd_out, overwrite_input=True)
+    assert np.shares_memory(rd.data, rd_out) and rd_out.flags.writeable
+    assert not rd.data.flags.writeable
+    assert np.array_equal(rd.data, rd_ref)
+    assert np.array_equal(accumulate_power(rd, work=work), noncoherent_ref)
+    assert np.array_equal(rd.data, rd_ref)
+
+
+def test_range_doppler_cube_leaves_the_callers_array_writable(c0):
+    data = np.zeros((128, 8, 256), np.complex128)
+    rd = RangeDopplerCube(data, c0)
+    assert data.flags.writeable
+    assert not rd.data.flags.writeable
+    with pytest.raises(ValueError):
+        rd.data[0, 0, 0] = 1.0
+
+
 def test_power_map_floor(c0):
     cube = synthesize_frame(c0, [], NO_NOISE)
     rd = doppler_processing(range_processing(cube, WindowKind.RECTANGULAR), c0)
