@@ -102,6 +102,7 @@ from .pipeline import (  # noqa: E402
     LogGaborParams,
     PipelineConfig,
     PipelineError,
+    iter_pipeline,
     load_pipeline_config,
     pipeline_config_from_dict,
     process_frame,

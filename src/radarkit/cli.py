@@ -7,8 +7,6 @@ e.g. {"error": "FormatError", "message": "bad magic ..."}.
 from __future__ import annotations
 
 import argparse
-import functools
-import itertools
 import json
 import socket
 import sys
@@ -25,6 +23,7 @@ from .capture import listen, read_capture_file, write_capture_file
 from .core import ConfigError, RadarError, decode_jsonable
 from .pipeline import (
     PipelineConfig,
+    iter_pipeline,
     load_pipeline_config,
     process_frame,
     run_pipeline,
@@ -78,11 +77,9 @@ def _resolve_out(cfg: PipelineConfig, out_flag) -> Path:
 
 
 def _cmd_process(args) -> int:
-    """Stream the capture: at most ``--workers`` frames decoded at a time.
+    """Stream the capture through ``iter_pipeline``: at most ``--workers``
+    frames are decoded and not yet processed at a time.
 
-    One pool of ``--workers`` threads (the main thread for one worker) serves
-    the whole run, so each thread keeps its front-end buffers from frame to
-    frame, and a chunk's cubes are released before the next chunk is decoded.
     Each result is written on one writer thread while the next frames are
     processed; frame i's write is submitted only once frame i-1's is done,
     so writes stay in frame order and a failed write ends the run.
@@ -94,22 +91,15 @@ def _cmd_process(args) -> int:
             "capture file radar config does not match the pipeline config"
         )
     out = _resolve_out(cfg, args.out)
-    chunk_size = max(args.workers, 1)
-    frame_fn = functools.partial(process_frame, cfg)
     n_frames = n_points = 0
     pending = None
-    with ThreadPoolExecutor(max_workers=1) as writer, \
-            ThreadPoolExecutor(max_workers=chunk_size) as pool:
-        map_frames = pool.map if chunk_size > 1 else map
-        while chunk := list(itertools.islice(cubes, chunk_size)):
-            results = map_frames(frame_fn, chunk)
-            del chunk
-            for result in results:
-                if pending is not None:
-                    pending.result()
-                pending = writer.submit(write_frame_outputs, out, result)
-                n_frames += 1
-                n_points += len(result.point_cloud)
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        for result in iter_pipeline(cfg, cubes, workers=args.workers):
+            if pending is not None:
+                pending.result()
+            pending = writer.submit(write_frame_outputs, out, result)
+            n_frames += 1
+            n_points += len(result.point_cloud)
         if pending is not None:
             pending.result()
     write_run_manifest(out, cfg)

@@ -111,9 +111,11 @@ def validate_config(cfg: RadarConfig) -> RadarConfig:
     ]
     far = 0.0
     for name, value, count in positives:
-        if isinstance(value, int) and abs(value) > _INT64_MAX:
-            raise ConfigError(f"{name} given as an integer must fit int64, got {value}")
-        if not (isinstance(value, (int, float, np.floating)) and math.isfinite(value)):
+        try:
+            finite = isinstance(value, (int, float, np.floating)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if value <= 0:
             raise ConfigError(f"{name} must be > 0, got {value}")

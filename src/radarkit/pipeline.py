@@ -16,17 +16,21 @@ thread: the range cube, the Doppler cube and its per-antenna |z|^2, each the
 size of one frame's samples (4 MiB for a 2 TX, 4 RX, 128-chirp, 256-sample
 frame), so about 2.5 cubes per thread that processes frames. They are
 allocated on the thread's first frame, reused by every later frame of the
-same size and freed with the thread. The windows are read-only arrays built
-once per window kind and length. A frame's range-Doppler cube is a view of
-its thread's buffer and is valid only until that thread's next frame;
-nothing in a ``FrameResult`` refers to the buffers.
+same size and freed with the thread; ``iter_pipeline`` keeps one pool of
+threads for a whole run, so a run allocates them once per thread. The
+windows are read-only arrays built once per window kind and length. A
+frame's range-Doppler cube is a view of its thread's buffer and is valid
+only until that thread's next frame; nothing in a ``FrameResult`` refers to
+the buffers.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import platform
 import threading
@@ -34,7 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -266,17 +270,34 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     )
 
 
+def iter_pipeline(
+    cfg: PipelineConfig, frames: Iterable[DataCube], workers: int = 1
+) -> Iterator[FrameResult]:
+    """``process_frame`` over frames, yielding results in input order.
+
+    With ``workers`` > 1 one pool of that many threads serves every frame, so
+    each thread keeps its work buffers for the whole run. At most ``workers``
+    frames are taken from ``frames`` ahead of the result being yielded, and a
+    frame is released once processed. Results are identical for any worker
+    count.
+    """
+    frames = iter(frames)
+    if workers <= 1:
+        yield from map(functools.partial(process_frame, cfg), frames)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        submit = functools.partial(pool.submit, process_frame, cfg)
+        pending = collections.deque(map(submit, itertools.islice(frames, workers)))
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(map(submit, itertools.islice(frames, 1)))
+
+
 def run_pipeline(
     cfg: PipelineConfig, frames: Iterable[DataCube], workers: int = 1
 ) -> list[FrameResult]:
-    """``process_frame`` over frames in input order, optionally on a thread pool.
-
-    Results are identical for any worker count.
-    """
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(functools.partial(process_frame, cfg), frames))
-    return [process_frame(cfg, cube) for cube in frames]
+    """All of ``iter_pipeline``'s results as a list."""
+    return list(iter_pipeline(cfg, frames, workers))
 
 
 def write_frame_outputs(out_dir, result: FrameResult) -> None:

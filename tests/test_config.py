@@ -124,6 +124,8 @@ def test_codec_round_trip(cfg):
         {"aoa_method": "capon", "aoa_grid_step_deg": 180.0 / (MAX_ANGLE_BINS + 1)},
         {"aoa_grid_step_deg": 1e-9},
         {"aoa_fft_bins": 10**12, "aoa_method": "music"},
+        # An integer beyond int64 in a float field loads as its float value does.
+        {"radar": dict(c0_dict(), sample_rate_hz=10**19)},
     ],
 )
 def test_load_time_checks_accept_boundaries_and_unselected_methods(overrides):
@@ -211,9 +213,11 @@ MALFORMED = {
                             "ConfigError", "radar: num_rx"),
     "frame_size_beyond_int64": ({"radar": dict(c0_dict(), samples_per_chirp=2**60)}, None,
                                 None, "ConfigError", "radar: samples_per_chirp"),
-    "rx_spacing_int_beyond_int64": (
-        {"radar": dict(c0_dict(), rx_spacing_wavelengths=9223372036854775808)}, None, None,
+    "rx_spacing_int_beyond_float": (
+        {"radar": dict(c0_dict(), rx_spacing_wavelengths=10**309)}, None, None,
         "ConfigError", "radar: rx_spacing_wavelengths"),
+    "sample_rate_int_beyond_float": ({"radar": dict(c0_dict(), sample_rate_hz=10**309)},
+                                     None, None, "ConfigError", "radar: sample_rate_hz"),
     "rx_spacing_element_overflows": (
         {"radar": dict(c0_dict(), rx_spacing_wavelengths=1e308)}, None, None,
         "ConfigError", "radar: rx_spacing_wavelengths"),

@@ -15,12 +15,14 @@ from radarkit import (
     PipelineError,
     PointTarget,
     derived_params,
+    iter_pipeline,
     pipeline_config_from_dict,
     process_frame,
     run_pipeline,
     synthesize_capture,
     synthesize_frame,
 )
+import radarkit.pipeline
 from radarkit.capture import CaptureListener, CapturePacket, write_capture_file
 from radarkit.cli import main
 from radarkit.detect import WindowError
@@ -177,6 +179,32 @@ def test_run_pipeline_worker_count_does_not_change_results(c0):
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.power_map_db, b.power_map_db)
         assert a.point_cloud == b.point_cloud
+
+
+def test_iter_pipeline_serves_the_run_from_one_pool(c0, monkeypatch):
+    cfg = PipelineConfig(radar=c0)
+    frames = _one_target_frames(2) * 3
+    threads = set()
+    frame = radarkit.pipeline.process_frame
+
+    def recording(cfg, cube):
+        threads.add(threading.current_thread().name)
+        return frame(cfg, cube)
+
+    monkeypatch.setattr(radarkit.pipeline, "process_frame", recording)
+    taken = []
+
+    def source():
+        for cube in frames:
+            taken.append(cube.frame_index)
+            yield cube
+
+    results = iter_pipeline(cfg, source(), workers=2)
+    first = next(results)
+    assert len(taken) == 2  # frames are taken only as results are asked for
+    rest = list(results)
+    assert len(threads) <= 2  # one pool of two threads, not one per pair of frames
+    assert [r.frame_index for r in [first, *rest]] == [c.frame_index for c in frames]
 
 
 def test_back_to_back_frames_on_one_thread_leave_earlier_results(c0):
