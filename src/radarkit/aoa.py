@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RadarConfig, RadarError
+from .core import RadarConfig, RadarError, readonly_view
 from .rangedoppler import RangeDopplerCube
 
 DEFAULT_GRID_STEP_DEG = 0.1
@@ -60,8 +60,7 @@ class VirtualArray:
     positions_wavelengths: np.ndarray
 
     def __post_init__(self):
-        pos = np.ascontiguousarray(self.positions_wavelengths, dtype=np.float64)
-        pos.setflags(write=False)
+        pos = readonly_view(self.positions_wavelengths, np.float64)
         object.__setattr__(self, "positions_wavelengths", pos)
 
     def __len__(self) -> int:
@@ -157,9 +156,7 @@ class AoaPlan:
         for name in ("tdm_phase", "grid_deg", "steering"):
             value = getattr(self, name)
             if value is not None:
-                value = np.ascontiguousarray(value)
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, readonly_view(value))
 
 
 def aoa_plan(cfg: RadarConfig, grid_step_deg: float | None = None) -> AoaPlan:
@@ -183,9 +180,7 @@ class CovarianceMatrix:
     n_snapshots: int
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", readonly_view(self.matrix, np.complex128))
 
     @property
     def size(self) -> int:
@@ -258,12 +253,10 @@ class AngleSpectrum:
     power: np.ndarray
 
     def __post_init__(self):
-        ang = np.ascontiguousarray(self.angles_deg, dtype=np.float64)
-        pwr = np.ascontiguousarray(self.power, dtype=np.float64)
+        ang = readonly_view(self.angles_deg, np.float64)
+        pwr = readonly_view(self.power, np.float64)
         if ang.shape != pwr.shape:
             raise ValueError("angles and power must have the same length")
-        ang.setflags(write=False)
-        pwr.setflags(write=False)
         object.__setattr__(self, "angles_deg", ang)
         object.__setattr__(self, "power", pwr)
 

@@ -1,12 +1,17 @@
 """Command-line front end: simulate, process, listen, replay, bench.
 
-Every failure exits nonzero with a single-line JSON error object on stderr,
-e.g. {"error": "FormatError", "message": "bad magic ..."}.
+``process`` and ``listen`` differ only in their frame source: both run
+``_run``, which processes the frames through ``iter_pipeline``, writes them
+in frame order on one writer thread and writes ``run_manifest.json`` after
+the last frame. Every failure, a failed write included, ends the command
+with exit code 1 and a single-line JSON error object on stderr, e.g.
+{"error": "FormatError", "message": "bad magic ..."}.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import socket
 import sys
@@ -25,7 +30,6 @@ from .pipeline import (
     PipelineConfig,
     iter_pipeline,
     load_pipeline_config,
-    process_frame,
     run_pipeline,
     write_drop_reports,
     write_frame_outputs,
@@ -76,33 +80,35 @@ def _resolve_out(cfg: PipelineConfig, out_flag) -> Path:
     return Path(out)
 
 
-def _cmd_process(args) -> int:
-    """Stream the capture through ``iter_pipeline``: at most ``--workers``
-    frames are decoded and not yet processed at a time.
-
-    Each result is written on one writer thread while the next frames are
-    processed; frame i's write is submitted only once frame i-1's is done,
-    so writes stay in frame order and a failed write ends the run.
-    """
-    cfg = load_pipeline_config(args.config)
-    file_cfg, cubes = read_capture_file(args.infile)
-    if file_cfg != cfg.radar:
-        raise ConfigError(
-            "capture file radar config does not match the pipeline config"
-        )
-    out = _resolve_out(cfg, args.out)
-    n_frames = n_points = 0
+def _run(cfg: PipelineConfig, out: Path, cubes, workers: int = 1):
+    """``iter_pipeline`` over ``cubes``, yielding each result once its write is
+    submitted to the one writer thread. Frame i's write is submitted only once
+    frame i-1's is done, so writes stay in frame order and a failed write ends
+    the run. ``run_manifest.json`` is written after the last frame."""
     pending = None
     with ThreadPoolExecutor(max_workers=1) as writer:
-        for result in iter_pipeline(cfg, cubes, workers=args.workers):
+        for result in iter_pipeline(cfg, cubes, workers=workers):
             if pending is not None:
                 pending.result()
             pending = writer.submit(write_frame_outputs, out, result)
-            n_frames += 1
-            n_points += len(result.point_cloud)
+            yield result
         if pending is not None:
             pending.result()
     write_run_manifest(out, cfg)
+
+
+def _cmd_process(args) -> int:
+    """Stream the capture: at most ``--workers`` frames are decoded and not
+    yet processed at a time."""
+    cfg = load_pipeline_config(args.config)
+    file_cfg, cubes = read_capture_file(args.infile)
+    if file_cfg != cfg.radar:
+        raise ConfigError("capture file radar config does not match the pipeline config")
+    out = _resolve_out(cfg, args.out)
+    n_frames = n_points = 0
+    for result in _run(cfg, out, cubes, workers=args.workers):
+        n_frames += 1
+        n_points += len(result.point_cloud)
     print(f"processed {n_frames} frames, {n_points} points -> {out}")
     return 0
 
@@ -116,24 +122,21 @@ def _cmd_listen(args) -> int:
     )
     cfg = load_pipeline_config(args.config)
     out = _resolve_out(cfg, args.out)
-    reports = []
-    stream = listen(
-        args.port,
-        cfg.radar,
-        window=args.window,
-        max_frames=args.frames,
-        idle_timeout_s=args.idle_timeout_s,
-    )
-    for cube, report in stream:
-        result = process_frame(cfg, cube)
-        write_frame_outputs(out, result)
-        reports.append((result.frame_index, report))
-        print(
-            f"frame {result.frame_index}: {len(result.point_cloud)} points, "
-            f"{report.packets_dropped} packets dropped"
-        )
-    write_drop_reports(out, reports)
-    write_run_manifest(out, cfg)
+    reports = {}
+
+    def cubes(stream):
+        for cube, report in stream:
+            reports[cube.frame_index] = report
+            yield cube
+
+    # Closing the stream stops the listener, also when the run fails.
+    with contextlib.closing(listen(args.port, cfg.radar, window=args.window,
+                                   max_frames=args.frames, idle_timeout_s=timeout)) as stream:
+        for result in _run(cfg, out, cubes(stream)):
+            i = result.frame_index
+            print(f"frame {i}: {len(result.point_cloud)} points, "
+                  f"{reports[i].packets_dropped} packets dropped")
+    write_drop_reports(out, list(reports.items()))
     print(f"captured {len(reports)} frames -> {out}")
     return 0
 

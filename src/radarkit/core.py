@@ -213,13 +213,22 @@ def bin_to_velocity(centered_bin, cfg: RadarConfig):
     return centered_bin * derived_params(cfg).velocity_resolution_m_s
 
 
+def readonly_view(a, dtype=None) -> np.ndarray:
+    """A read-only, C-contiguous view of ``a`` (of a copy only if its layout or
+    ``dtype`` needs one); the array passed in keeps its own flags."""
+    view = np.ascontiguousarray(a, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class DataCube:
     """One frame of complex baseband samples, shape (chirp, rx, sample).
 
     The chirp axis is in transmission order (TX0 chirp0, TX1 chirp0, ...,
-    TX0 chirp1, ...): global chirp q was fired by TX q mod M. The sample
-    array is validated against the config and frozen read-only.
+    TX0 chirp1, ...): global chirp q was fired by TX q mod M. ``data`` is a
+    validated, read-only view (``readonly_view``): the array passed in stays
+    writable, and writing to it later changes the cube's samples.
     """
 
     data: np.ndarray
@@ -239,10 +248,9 @@ class DataCube:
             raise ConfigError(
                 f"data shape {arr.shape} does not match config shape {expected}"
             )
-        arr = np.ascontiguousarray(arr, dtype=np.complex128)
+        arr = readonly_view(arr, np.complex128)
         if not np.isfinite(arr.view(np.float64)).all():
             raise ConfigError("data contains NaN or Inf samples")
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataCube, RadarConfig, RadarError
+from .core import DataCube, RadarConfig, RadarError, readonly_view
 
 
 class LengthError(RadarError):
@@ -67,9 +67,7 @@ def window(kind: WindowKind, length: int) -> np.ndarray:
 @functools.cache
 def _shared_window(kind: WindowKind, length: int) -> np.ndarray:
     """Read-only ``window(kind, length)``, built once and shared by every frame."""
-    w = window(kind, length)
-    w.setflags(write=False)
-    return w
+    return readonly_view(window(kind, length))
 
 
 def coherent_gain(kind: WindowKind, length: int) -> float:
@@ -107,10 +105,7 @@ class RangeDopplerCube:
     config: RadarConfig = field(repr=False)
 
     def __post_init__(self):
-        # A read-only view: the array passed in keeps its own flags.
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128).view()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", readonly_view(self.data, np.complex128))
 
     @property
     def num_doppler_bins(self) -> int:

@@ -6,14 +6,22 @@ import pytest
 
 from radarkit import (
     SPEED_OF_LIGHT,
+    AngleSpectrum,
     ConfigError,
+    CovarianceMatrix,
     DataCube,
     RadarConfig,
+    RangeDopplerCube,
+    VirtualArray,
+    bartlett,
+    capon,
     bin_to_range,
     bin_to_velocity,
     derived_params,
+    music,
     validate_config,
 )
+from radarkit.aoa import AoaPlan
 
 from conftest import small_config
 
@@ -177,3 +185,51 @@ def test_data_cube_is_immutable():
     cube = DataCube(np.zeros((16, 2, 16), dtype=complex), 0, cfg)
     with pytest.raises(ValueError):
         cube.data[0, 0, 0] = 1.0
+
+
+_SMALL = small_config()
+_ARRAY = VirtualArray(np.arange(4) * 0.5)
+_R = CovarianceMatrix(np.eye(4, dtype=complex), 4)
+_GRID = np.linspace(-60.0, 60.0, 7)
+# Each entry: a fresh caller's array, and the array an object built from it holds.
+HOLDERS = {
+    "DataCube": (lambda: np.zeros((16, 2, 16), complex),
+                 lambda a: DataCube(a, 0, _SMALL).data),
+    "RangeDopplerCube": (lambda: np.zeros((8, 4, 16), complex),
+                         lambda a: RangeDopplerCube(a, _SMALL).data),
+    "VirtualArray": (lambda: np.arange(4) * 0.5,
+                     lambda a: VirtualArray(a).positions_wavelengths),
+    "AoaPlan.tdm_phase": (lambda: np.ones((8, 4), complex),
+                          lambda a: AoaPlan(_ARRAY, a).tdm_phase),
+    "AoaPlan.grid_deg": (lambda: _GRID.copy(),
+                         lambda a: AoaPlan(_ARRAY, None, a, np.ones((4, 7))).grid_deg),
+    "AoaPlan.steering": (lambda: np.ones((4, 7), complex),
+                         lambda a: AoaPlan(_ARRAY, None, _GRID, a).steering),
+    "CovarianceMatrix": (lambda: np.eye(3, dtype=complex),
+                         lambda a: CovarianceMatrix(a, 3).matrix),
+    "AngleSpectrum.angles_deg": (lambda: _GRID.copy(),
+                                 lambda a: AngleSpectrum(a, np.ones(7)).angles_deg),
+    "AngleSpectrum.power": (lambda: np.ones(7), lambda a: AngleSpectrum(_GRID, a).power),
+    "bartlett": (lambda: _GRID.copy(), lambda a: bartlett(_R, _ARRAY, grid_deg=a).angles_deg),
+    "capon": (lambda: _GRID.copy(), lambda a: capon(_R, _ARRAY, grid_deg=a).angles_deg),
+    "music": (lambda: _GRID.copy(),
+              lambda a: music(_R, _ARRAY, 1, grid_deg=a).angles_deg),
+}
+
+
+@pytest.mark.parametrize("make, hold", HOLDERS.values(), ids=HOLDERS.keys())
+def test_held_arrays_are_read_only_views_of_the_callers_array(make, hold):
+    a = make()
+    held = hold(a)
+    assert a.flags.writeable
+    assert not held.flags.writeable and held.flags.c_contiguous
+    assert np.shares_memory(held, a)  # a view: no copy when layout and dtype fit
+    with pytest.raises(ValueError):
+        held[...] = 0
+
+
+def test_held_array_is_a_contiguous_copy_when_the_layout_needs_one():
+    a = np.zeros((16, 16, 2), complex).transpose(0, 2, 1)
+    held = DataCube(a, 0, _SMALL).data
+    assert a.flags.writeable and not np.shares_memory(held, a)
+    assert held.flags.c_contiguous and not held.flags.writeable

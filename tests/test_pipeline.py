@@ -22,6 +22,7 @@ from radarkit import (
     synthesize_capture,
     synthesize_frame,
 )
+import radarkit.cli
 import radarkit.pipeline
 from radarkit.capture import CaptureListener, CapturePacket, write_capture_file
 from radarkit.cli import main
@@ -437,6 +438,77 @@ def test_cli_listen_thread_error_is_one_json_line(tmp_path, capsys, datagram,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "TransportError"
+
+
+def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3) -> tuple[int, int]:
+    """Run ``listen`` for ``n_frames`` frames on a thread, replay that many
+    simulated frames into it once it is bound; return (exit code, port)."""
+    cfg_path = tmp_path / "pipeline.json"
+    scene_path = tmp_path / "scene.json"
+    capture_path = tmp_path / "capture.orad"
+    _write_json(cfg_path, pipeline_dict())
+    _write_json(scene_path, scene_dict(n_frames=n_frames))
+    assert main(["simulate", "--config", str(cfg_path), "--scene", str(scene_path),
+                 "--out", str(capture_path)]) == 0
+    probe = CaptureListener(0, C0, window=2, host="127.0.0.1")
+    port = probe.port
+    probe.stop()
+    bound = threading.Event()
+    init = CaptureListener.__init__
+
+    def signalling_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        bound.set()
+
+    monkeypatch.setattr(CaptureListener, "__init__", signalling_init)
+    rc = []
+    listener = threading.Thread(target=lambda: rc.append(main(
+        ["listen", "--config", str(cfg_path), "--port", str(port), "--out", str(out_dir),
+         "--frames", str(n_frames), "--idle-timeout-s", "10", "--window", "8"])),
+        daemon=True)
+    listener.start()
+    assert bound.wait(timeout=30)
+    assert main(["replay", "--in", str(capture_path), "--dest", f"127.0.0.1:{port}"]) == 0
+    listener.join(timeout=30)
+    assert not listener.is_alive()
+    return rc[0], port
+
+
+def test_cli_listen_failed_write_ends_the_run(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "live"
+    (out_dir / "frame_1_rd.csv").mkdir(parents=True)
+    code, port = _listen_to_replay(tmp_path, monkeypatch, out_dir)
+    # The listener is stopped on the error path, so its port binds again at once.
+    CaptureListener(port, C0, window=2).stop()
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "IsADirectoryError"
+    for name in ("frame_0_points.csv", "frame_0_rd.csv", "frame_0_rd.pgm"):
+        assert (out_dir / name).is_file()
+    assert not (out_dir / "run_manifest.json").exists()
+    assert not (out_dir / "drops.json").exists()
+
+
+def test_cli_listen_writes_each_frame_once_in_order(tmp_path, monkeypatch, capsys):
+    write = radarkit.cli.write_frame_outputs
+    writes = []
+
+    def recording_write(out_dir, result):
+        writes.append(result.frame_index)
+        write(out_dir, result)
+
+    monkeypatch.setattr(radarkit.cli, "write_frame_outputs", recording_write)
+    out_dir = tmp_path / "live"
+    code, _ = _listen_to_replay(tmp_path, monkeypatch, out_dir)
+    assert code == 0
+    assert writes == [0, 1, 2]
+    out = capsys.readouterr().out.splitlines()  # listen's lines and replay's
+    assert [line.split(":")[0] for line in out if line.startswith("frame ")] == [
+        "frame 0", "frame 1", "frame 2"]
+    assert f"captured 3 frames -> {out_dir}" in out
+    assert len(json.loads((out_dir / "drops.json").read_text())) == 3
+    assert (out_dir / "run_manifest.json").is_file()
 
 
 def test_cli_bench_table(tmp_path, capsys):
