@@ -6,6 +6,12 @@ r * rx_spacing wavelengths. A plane wave from azimuth theta (positive toward
 increasing element position) puts phase exp(j 2 pi position sin(theta)) on
 each element, which is the steering vector all spectra scan against.
 
+Bartlett, Capon and MUSIC scan a^H M a for M = R, R^-1 and E_n E_n^H: for
+Hermitian M, tr(M) + 2 Re sum_lag c_lag exp(j 2 pi lag sin(theta)), c_lag
+summing M[j, l], j < l, over p_l - p_j = lag (Barabell 1983's root-MUSIC
+polynomial). One ``np.einsum`` of a stack's lag sums against a frame-invariant
+(lag, angle) phasor table scans it with no BLAS call, so no BLAS threads wake.
+
 A pipeline estimates every detection of a frame at once (``estimate_angles``)
 against an ``AoaPlan`` built once per config. The per-matrix public functions
 (``covariance``, ``sorted_eig``, ``music``, ...) run the same kernels on a
@@ -96,14 +102,6 @@ def steering_vector(theta_deg: float, array: VirtualArray) -> np.ndarray:
     return np.exp(2j * np.pi * array.positions_wavelengths * sin_theta)
 
 
-def _steering_matrix(grid_deg: np.ndarray, array: VirtualArray) -> np.ndarray:
-    """(n_elements, n_angles) steering vectors for a whole grid."""
-    sin_theta = np.sin(np.radians(grid_deg))
-    return np.exp(
-        2j * np.pi * array.positions_wavelengths[:, np.newaxis] * sin_theta[np.newaxis, :]
-    )
-
-
 def default_angle_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> np.ndarray:
     """Azimuth scan grid: -90 to 90 in ``step_deg`` steps, endpoints excluded."""
     n = int(round(180.0 / step_deg))
@@ -141,19 +139,21 @@ class AoaPlan:
     """Frame-invariant inputs of angle estimation for one config.
 
     ``tdm_phase`` is the ``doppler_compensate`` rotation by Doppler row
-    (None for a single TX, which needs none). ``grid_deg`` and its
-    (elements, angles) ``steering`` matrix are None when no scan grid was
-    asked for (FFT estimation uses none). Arrays are read-only, so frames on
-    different threads share one plan.
+    (None for a single TX, which needs none). On a scan grid ``grid_deg``,
+    ``pair_lag`` maps each pair j < l (``np.triu_indices`` order) to the row
+    of its lag p_l - p_j in ``phasors``, the (cos/sin, lag, angle) table of
+    2 pi lag sin(theta); all three are None without a grid (FFT). Arrays are
+    read-only, so frames on different threads share one plan.
     """
 
     array: VirtualArray
     tdm_phase: np.ndarray | None
     grid_deg: np.ndarray | None = None
-    steering: np.ndarray | None = None
+    pair_lag: np.ndarray | None = None
+    phasors: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("tdm_phase", "grid_deg", "steering"):
+        for name in ("tdm_phase", "grid_deg", "pair_lag", "phasors"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, readonly_view(value))
@@ -168,8 +168,30 @@ def aoa_plan(cfg: RadarConfig, grid_step_deg: float | None = None) -> AoaPlan:
         phase = _tdm_phase(cfg, np.arange(n) - n // 2, len(array))
     if grid_step_deg is None:
         return AoaPlan(array, phase)
-    grid = default_angle_grid(grid_step_deg)
-    return AoaPlan(array, phase, grid, _steering_matrix(grid, array))
+    return _scan_plan(array, default_angle_grid(grid_step_deg), phase)
+
+
+def _scan_plan(array: VirtualArray, grid_deg, tdm_phase=None) -> AoaPlan:
+    """Plan scanning ``grid_deg`` (default: ``default_angle_grid()``) on ``array``."""
+    grid_deg = default_angle_grid() if grid_deg is None else grid_deg
+    pos = array.positions_wavelengths
+    j, l = np.triu_indices(len(pos), 1)
+    # Exact equality: lags that differ only by rounding keep rows of their own.
+    lags, pair_lag = np.unique(pos[l] - pos[j], return_inverse=True)
+    arg = 2 * np.pi * lags[:, np.newaxis] * np.sin(np.radians(grid_deg))[np.newaxis, :]
+    return AoaPlan(array, tdm_phase, grid_deg, pair_lag, np.stack([np.cos(arg), np.sin(arg)]))
+
+
+def _quadratic_forms(plan: AoaPlan, m: np.ndarray) -> np.ndarray:
+    """(matrix, angle) a^H M a for a stack of Hermitian M; each row from its own M."""
+    j, l = np.triu_indices(m.shape[-1], 1)
+    sums = np.zeros((len(m), plan.phasors.shape[1]), np.complex128)
+    np.add.at(sums, (slice(None), plan.pair_lag), m[:, j, l])
+    # Re(c exp(j x)) = Re(c) cos(x) - Im(c) sin(x); einsum without optimize calls no BLAS.
+    coef = 2.0 * np.concatenate([sums.real, -sums.imag], axis=-1)
+    q = np.einsum("dk,kg->dg", coef, plan.phasors.reshape(coef.shape[-1], -1))
+    q += np.trace(m, axis1=-2, axis2=-1).real[:, np.newaxis]
+    return q
 
 
 @dataclass(frozen=True)
@@ -241,8 +263,12 @@ def estimate_source_count(R: CovarianceMatrix) -> int:
 
 
 def _source_counts(vals: np.ndarray) -> np.ndarray:
-    """``estimate_source_count`` for each row of a stack of eigenvalues."""
-    return np.sum(vals > 10.0 * np.median(vals, axis=-1, keepdims=True), axis=-1)
+    """``estimate_source_count`` for each row of a stack of sorted eigenvalues."""
+    # np.median's median (NaN for a row holding one: 0 sources) without its numpy.ma import.
+    n = vals.shape[-1]
+    median = np.mean(vals[..., (n - 1) // 2:n // 2 + 1], axis=-1)
+    median = np.where(np.isnan(vals).any(axis=-1), np.nan, median)
+    return np.sum(vals > 10.0 * median[..., np.newaxis], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -304,24 +330,11 @@ def _fft_spectra(
     return angles, np.abs(spectrum[..., visible]) ** 2
 
 
-def _grid_and_steering(
-    array: VirtualArray, grid_deg: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    grid = default_angle_grid() if grid_deg is None else np.asarray(grid_deg)
-    return grid, _steering_matrix(grid, array)
-
-
 def bartlett(
     R: CovarianceMatrix, array: VirtualArray, grid_deg: np.ndarray | None = None
 ) -> AngleSpectrum:
     """Conventional beamformer spectrum P = a^H R a / (a^H a)."""
-    grid, a = _grid_and_steering(array, grid_deg)
-    return AngleSpectrum(angles_deg=grid, power=_bartlett_power(R.matrix, a))
-
-
-def _bartlett_power(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    p = np.einsum("ig,ig->g", a.conj(), r @ a).real
-    return np.maximum(p / a.shape[0], 0.0)
+    return _grid_spectrum(R, array, grid_deg, AoaMethod.BARTLETT)
 
 
 def capon(
@@ -332,23 +345,7 @@ def capon(
     R must be invertible; load the covariance estimate first when snapshots
     are scarce (see ``covariance``).
     """
-    _check_invertible(R.matrix[np.newaxis])
-    grid, a = _grid_and_steering(array, grid_deg)
-    return AngleSpectrum(angles_deg=grid, power=_capon_power(np.linalg.inv(R.matrix), a))
-
-
-def _check_invertible(matrices: np.ndarray) -> None:
-    """Raise SingularError if any matrix of the stack is too ill-conditioned."""
-    if np.any(np.linalg.cond(matrices) > _CAPON_MAX_CONDITION):
-        raise SingularError(
-            f"covariance condition number exceeds {_CAPON_MAX_CONDITION:.0e}; "
-            "increase diagonal loading"
-        )
-
-
-def _capon_power(r_inv: np.ndarray, a: np.ndarray) -> np.ndarray:
-    denom = np.einsum("ig,ig->g", a.conj(), r_inv @ a).real
-    return 1.0 / np.maximum(denom, np.finfo(np.float64).tiny)
+    return _grid_spectrum(R, array, grid_deg, AoaMethod.CAPON)
 
 
 def music(
@@ -361,21 +358,38 @@ def music(
 
     E_n spans the eigenvectors of the size - n_sources smallest eigenvalues.
     """
-    _check_rank(n_sources, R.size)
-    grid, a = _grid_and_steering(array, grid_deg)
-    _, vecs = sorted_eig(R)
-    return AngleSpectrum(angles_deg=grid, power=_music_power(vecs[:, n_sources:], a))
+    return _grid_spectrum(R, array, grid_deg, AoaMethod.MUSIC, n_sources)
 
 
-def _check_rank(n_sources: int, size: int) -> None:
-    if not 1 <= n_sources < size:
-        raise RankError(f"n_sources must be in [1, {size - 1}], got {n_sources}")
+def _grid_spectrum(R, array, grid_deg, method, n_sources=None) -> AngleSpectrum:
+    plan = _scan_plan(array, grid_deg)
+    power = _grid_spectra(plan, method, R.matrix[np.newaxis], n_sources)[0]
+    return AngleSpectrum(angles_deg=plan.grid_deg, power=power)
 
 
-def _music_power(noise_basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    proj = noise_basis.conj().T @ a
-    denom = np.sum(np.abs(proj) ** 2, axis=0)
-    return 1.0 / np.maximum(denom, np.finfo(np.float64).tiny)
+def _grid_spectra(
+    plan: AoaPlan, method: AoaMethod, r: np.ndarray, music_n_sources: int | None
+) -> np.ndarray:
+    """(matrix, angle) spectra of a stack of covariances (MUSIC counts sources if None)."""
+    if method is AoaMethod.BARTLETT:
+        return np.maximum(_quadratic_forms(plan, r) / len(plan.array), 0.0)
+    if method is AoaMethod.CAPON:
+        if np.any(np.linalg.cond(r) > _CAPON_MAX_CONDITION):
+            raise SingularError(f"covariance condition number exceeds "
+                                f"{_CAPON_MAX_CONDITION:.0e}; increase diagonal loading")
+        m = np.linalg.inv(r)
+    else:
+        vals, vecs = _sorted_eigs(r)
+        size = r.shape[-1]
+        counts = (np.clip(_source_counts(vals), 1, size - 1) if music_n_sources is None
+                  else np.full(len(r), music_n_sources))
+        for k in counts:
+            if not 1 <= k < size:
+                raise RankError(f"n_sources must be in [1, {size - 1}], got {k}")
+        # ||E_n^H a||^2 = a^H E_n E_n^H a, E_n the columns past each count.
+        noise = vecs * (np.arange(size) >= counts[:, np.newaxis])[:, np.newaxis, :]
+        m = noise @ np.swapaxes(noise.conj(), -1, -2)
+    return 1.0 / np.maximum(_quadratic_forms(plan, m), np.finfo(np.float64).tiny)
 
 
 def peak_angles(
@@ -435,19 +449,5 @@ def estimate_angles(
         x = x * phase[:, :, np.newaxis]
     loading = capon_loading if method is AoaMethod.CAPON else 0.0
     r = _covariances(np.moveaxis(x, -1, 0), loading)
-    a = plan.steering
-    if method is AoaMethod.BARTLETT:
-        powers = (_bartlett_power(m, a) for m in r)
-    elif method is AoaMethod.CAPON:
-        _check_invertible(r)
-        powers = (_capon_power(m, a) for m in np.linalg.inv(r))
-    else:
-        vals, vecs = _sorted_eigs(r)
-        if music_n_sources is None:
-            counts = np.minimum(np.maximum(_source_counts(vals), 1), len(plan.array) - 1)
-        else:
-            counts = np.full(len(r), music_n_sources)
-        for k in counts:
-            _check_rank(k, len(plan.array))
-        powers = (_music_power(v[:, k:], a) for v, k in zip(vecs, counts))
+    powers = _grid_spectra(plan, method, r, music_n_sources)
     return [_peaks(plan.grid_deg, p, max_peaks) for p in powers]

@@ -129,9 +129,9 @@ def cfar_2d(
 
     ``map_linear`` is a (doppler, range) linear-power map. The recorded
     threshold is the larger of the two per-axis thresholds; SNR is the cell
-    power against the noise estimate behind that larger threshold. The AND
-    composition is conservative: its false-alarm rate is below either axis's
-    pfa on homogeneous noise. Detections are in row-major cell order.
+    power against the noise estimate behind it, inf if that estimate is 0.
+    The AND composition is conservative: its false-alarm rate is below
+    either axis's pfa on homogeneous noise. Detections are in row-major cell order.
     """
     m = np.asarray(map_linear, dtype=np.float64)
     if m.ndim != 2:
@@ -141,8 +141,8 @@ def cfar_2d(
     rows, cols = np.nonzero(mask_r & mask_d)
     thr_r, thr_d = thr_r[rows, cols], thr_d[rows, cols]
     power = m[rows, cols]
-    # Divided in numpy as before: a zero noise estimate gives inf, not ZeroDivisionError.
-    ratio = power / np.where(thr_r >= thr_d, noise_r[rows, cols], noise_d[rows, cols])
+    with np.errstate(divide="ignore"):
+        ratio = power / np.where(thr_r >= thr_d, noise_r[rows, cols], noise_d[rows, cols])
     half = m.shape[0] // 2
     return [
         Detection(col, row - half, p, threshold, 10.0 * math.log10(r))

@@ -191,6 +191,8 @@ _SMALL = small_config()
 _ARRAY = VirtualArray(np.arange(4) * 0.5)
 _R = CovarianceMatrix(np.eye(4, dtype=complex), 4)
 _GRID = np.linspace(-60.0, 60.0, 7)
+_PAIR_LAG = np.array([0, 1, 2, 0, 1, 0])  # the 6 pairs of _ARRAY on its 3 lags
+_PHASORS = np.ones((2, 3, 7))
 # Each entry: a fresh caller's array, and the array an object built from it holds.
 HOLDERS = {
     "DataCube": (lambda: np.zeros((16, 2, 16), complex),
@@ -202,9 +204,11 @@ HOLDERS = {
     "AoaPlan.tdm_phase": (lambda: np.ones((8, 4), complex),
                           lambda a: AoaPlan(_ARRAY, a).tdm_phase),
     "AoaPlan.grid_deg": (lambda: _GRID.copy(),
-                         lambda a: AoaPlan(_ARRAY, None, a, np.ones((4, 7))).grid_deg),
-    "AoaPlan.steering": (lambda: np.ones((4, 7), complex),
-                         lambda a: AoaPlan(_ARRAY, None, _GRID, a).steering),
+                         lambda a: AoaPlan(_ARRAY, None, a, _PAIR_LAG, _PHASORS).grid_deg),
+    "AoaPlan.pair_lag": (lambda: _PAIR_LAG.copy(),
+                         lambda a: AoaPlan(_ARRAY, None, _GRID, a, _PHASORS).pair_lag),
+    "AoaPlan.phasors": (lambda: _PHASORS.copy(),
+                        lambda a: AoaPlan(_ARRAY, None, _GRID, _PAIR_LAG, a).phasors),
     "CovarianceMatrix": (lambda: np.eye(3, dtype=complex),
                          lambda a: CovarianceMatrix(a, 3).matrix),
     "AngleSpectrum.angles_deg": (lambda: _GRID.copy(),

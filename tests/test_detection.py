@@ -118,6 +118,18 @@ def test_cfar_2d_zero_map_no_detections():
     assert cfar_2d(np.zeros((64, 64)), params, params) == []
 
 
+def test_cfar_2d_zero_noise_estimate_gives_inf_snr_without_warning(tmp_path, c0):
+    m = np.zeros((16, 16))
+    m[8, 5] = 1.0
+    params = CfarParams(guard_cells=1, train_cells=2, pfa=1e-3)
+    dets = cfar_2d(m, params, params)  # a RuntimeWarning would be an error here
+    assert [(d.doppler_bin, d.range_bin, d.power) for d in dets] == [(0, 5, 1.0)]
+    assert dets[0].snr_db == math.inf
+    path = tmp_path / "points.csv"
+    write_point_cloud_csv(to_point_cloud(dets, [[(0.0, 1.0)]], c0), path)
+    assert path.read_text().splitlines()[1].split(",")[4] == "inf"
+
+
 def test_cfar_2d_finds_simulated_target(c0):
     params = CfarParams(guard_cells=2, train_cells=8, pfa=1e-4)
     hits = 0

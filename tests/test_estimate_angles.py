@@ -135,12 +135,14 @@ def test_aoa_plan_built_once_per_config_and_read_only():
     plan = cfg.aoa_plan
     assert cfg.aoa_plan is plan
     assert dataclasses.replace(cfg).aoa_plan is not plan
-    assert plan.steering.shape == (8, len(plan.grid_deg))
+    assert plan.phasors.shape == (2, 7, len(plan.grid_deg))  # cos, sin of lags 0.5..3.5
+    assert plan.pair_lag.shape == (8 * 7 // 2,)
     assert plan.tdm_phase.shape == (C0.chirps_per_frame_per_tx, 8)
-    for a in (plan.steering, plan.grid_deg, plan.tdm_phase):
+    for a in (plan.phasors, plan.pair_lag, plan.grid_deg, plan.tdm_phase):
         assert not a.flags.writeable
     fft_plan = PipelineConfig(radar=C0_1TX).aoa_plan
     assert fft_plan.grid_deg is None and fft_plan.tdm_phase is None
+    assert fft_plan.pair_lag is None and fft_plan.phasors is None
 
 
 def test_plan_built_under_worker_threads_gives_serial_results(frames):
