@@ -189,7 +189,7 @@ def _quadratic_forms(plan: AoaPlan, m: np.ndarray) -> np.ndarray:
     np.add.at(sums, (slice(None), plan.pair_lag), m[:, j, l])
     # Re(c exp(j x)) = Re(c) cos(x) - Im(c) sin(x); einsum without optimize calls no BLAS.
     coef = 2.0 * np.concatenate([sums.real, -sums.imag], axis=-1)
-    q = np.einsum("dk,kg->dg", coef, plan.phasors.reshape(coef.shape[-1], -1))
+    q = np.einsum("dk,kg->dg", coef, plan.phasors.reshape(-1, plan.phasors.shape[-1]))
     q += np.trace(m, axis1=-2, axis2=-1).real[:, np.newaxis]
     return q
 

@@ -14,11 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radarkit import NoiseSpec, PointTarget, steering_vector, synthesize_frame
+from radarkit import (
+    NoiseSpec, PipelineConfig, PointTarget, bartlett, capon, covariance, process_frame,
+    steering_vector, synthesize_frame,
+)
 from radarkit.aoa import (
-    AoaMethod, _grid_spectra, _quadratic_forms, _sorted_eigs, _source_counts, aoa_plan,
+    AoaMethod, VirtualArray, _grid_spectra, _quadratic_forms, _sorted_eigs, _source_counts,
+    aoa_plan, estimate_angles,
 )
 from radarkit.capture import write_capture_file
+from radarkit.rangedoppler import doppler_processing, range_processing
 
 from conftest import C0
 from test_pipeline import pipeline_dict
@@ -94,6 +99,30 @@ def test_music_scan_equals_noise_subspace_projection(name, data):
     a = _steering(plan)
     direct = np.sum(np.abs(np.swapaxes(vecs[:, :, k:].conj(), -1, -2) @ a) ** 2, axis=-2)
     assert np.all(np.abs(1.0 / power - direct) <= 1e-12 * (size - k))
+
+
+def test_one_element_array_scans_flat_spectra():
+    # No lags: a^H M a = M[0, 0], so Bartlett gives R[0, 0] and Capon 1 / R^-1[0, 0].
+    R = covariance(np.array([[1 + 2j], [0.5 - 1j], [3j]]))
+    assert np.array_equal(bartlett(R, VirtualArray([0.0])).power, np.full(1799, 61 / 12))
+    assert np.array_equal(capon(R, VirtualArray([0.0])).power, np.full(1799, 61 / 12))
+    radar = dataclasses.replace(C0, num_tx=1, num_rx=1, tx_spacing_wavelengths=None)
+    cube = synthesize_frame(radar, [PointTarget(10.0, 1.0, 20.0, 1000.0)], NoiseSpec(1.0, 3))
+    for method in (AoaMethod.BARTLETT, AoaMethod.CAPON):
+        cfg = PipelineConfig(radar=radar, aoa_method=method)
+        process_frame(cfg, cube)
+        rd = doppler_processing(range_processing(cube, cfg.range_window), radar,
+                                cfg.doppler_window)
+        r = np.moveaxis(rd.data[:, :, [51, 52]], -1, 0)  # the target's range column
+        r = np.swapaxes(r, -1, -2) @ r.conj() / r.shape[-2]
+        flat = _grid_spectra(cfg.aoa_plan, method, r, None)
+        assert flat.shape == (2, len(cfg.aoa_plan.grid_deg))
+        assert np.allclose(flat, r[:, :, 0].real, rtol=1e-12)  # 1x1: R^-1 = 1 / R
+        # A flat spectrum has no strict maximum: the detections get no angles.
+        assert estimate_angles(
+            cfg.aoa_plan, rd, [8, 8], [51, 52], method, fft_bins=cfg.aoa_fft_bins,
+            music_n_sources=None, capon_loading=cfg.capon_loading, max_peaks=1,
+        ) == [[], []]
 
 
 def _median_counts(vals):
