@@ -13,7 +13,8 @@ polynomial). One ``np.einsum`` of a stack's lag sums against a frame-invariant
 (lag, angle) phasor table scans it with no BLAS call, so no BLAS threads wake.
 
 A pipeline estimates every detection of a frame at once (``estimate_angles``)
-against an ``AoaPlan`` built once per config. The per-matrix public functions
+against an ``AoaPlan`` built once per config, and picks the peaks of all its
+spectra in one pass. The per-matrix public functions
 (``covariance``, ``sorted_eig``, ``music``, ...) run the same kernels on a
 stack of one, so both give the same numbers.
 """
@@ -395,18 +396,33 @@ def _grid_spectra(
 def peak_angles(
     spectrum: AngleSpectrum, max_peaks: int = 1
 ) -> list[tuple[float, float]]:
-    """Strict interior local maxima as (angle_deg, power), strongest first."""
-    return _peaks(spectrum.angles_deg, spectrum.power, max_peaks)
+    """Strict interior local maxima as (angle_deg, power), strongest first.
+
+    Maxima of equal power come in descending angle order.
+    """
+    return _peaks(spectrum.angles_deg, spectrum.power[np.newaxis], max_peaks)[0]
 
 
-def _peaks(angles: np.ndarray, p: np.ndarray, max_peaks: int) -> list[tuple[float, float]]:
+def _peaks(
+    angles: np.ndarray, p: np.ndarray, max_peaks: int
+) -> list[list[tuple[float, float]]]:
+    """``peak_angles`` of each row of a (spectrum, angle) stack on one grid."""
     if max_peaks < 1:
         raise ValueError(f"max_peaks must be >= 1, got {max_peaks}")
-    if len(p) < 3:
-        return []
-    interior = np.flatnonzero((p[1:-1] > p[:-2]) & (p[1:-1] > p[2:])) + 1
-    order = interior[np.argsort(p[interior])[::-1]]
-    return [(float(angles[i]), float(p[i])) for i in order[:max_peaks]]
+    peaks = [[] for _ in range(len(p))]
+    if p.shape[-1] < 3:
+        return peaks
+    rows, cols = np.nonzero((p[:, 1:-1] > p[:, :-2]) & (p[:, 1:-1] > p[:, 2:]))
+    cols += 1
+    power = p[rows, cols]
+    # By row, then power descending, then angle index descending.
+    order = np.lexsort((-cols, -power, rows))
+    rows, cols, power = rows[order], cols[order], power[order]
+    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < max_peaks
+    for row, angle, pw in zip(rows[keep].tolist(), angles[cols[keep]].tolist(),
+                              power[keep].tolist()):
+        peaks[row].append((angle, pw))
+    return peaks
 
 
 def estimate_angles(
@@ -443,11 +459,11 @@ def estimate_angles(
         if phase is not None:
             x = x * phase[rows]
         angles, powers = _fft_spectra(x, plan.array, fft_bins)
-        return [_peaks(angles, p, max_peaks) for p in powers]
+        return _peaks(angles, powers, max_peaks)
     x = rd_cube.data[:, :, cols]
     if phase is not None:
         x = x * phase[:, :, np.newaxis]
     loading = capon_loading if method is AoaMethod.CAPON else 0.0
     r = _covariances(np.moveaxis(x, -1, 0), loading)
     powers = _grid_spectra(plan, method, r, music_n_sources)
-    return [_peaks(plan.grid_deg, p, max_peaks) for p in powers]
+    return _peaks(plan.grid_deg, powers, max_peaks)

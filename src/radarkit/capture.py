@@ -9,8 +9,10 @@ count before this packet, which lets reassembly infer the byte extent of lost
 packets and zero-fill it instead of dropping frames.
 
 Frame byte layout: chirps outer, rx middle, samples inner; each sample is
-int16 I then int16 Q, little-endian. This matches the DataCube axis order so
-decoding is a single reshape.
+int16 I then int16 Q, little-endian. This matches the DataCube axis order, so
+``deinterleave`` is a single reshape of the frame's bytes: a cube of int16
+(I, Q) pairs that shares the bytes' memory. The range stage casts them to
+complex as it windows them.
 
 Capture file layout:
 
@@ -33,6 +35,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .core import (
+    WIRE_DTYPE,
     ConfigError,
     DataCube,
     RadarConfig,
@@ -236,23 +239,28 @@ def frame_byte_count(cfg: RadarConfig) -> int:
 def serialize_cube(cube: DataCube) -> bytes:
     """Encode a cube in the frame byte layout.
 
-    Quantization: round to nearest (ties to even), saturate to int16 range.
+    A cube of wire pairs (``deinterleave``'s) is written as it is held.
+    Complex samples are quantized: round to nearest (ties to even), saturate
+    to int16 range.
     """
-    iq = np.rint(cube.data.view(np.float64))  # I, Q interleaved along samples
+    if cube.iq.dtype == WIRE_DTYPE:
+        return cube.iq.tobytes()
+    iq = np.rint(cube.iq)
     np.clip(iq, -32768, 32767, out=iq)
-    return iq.astype("<i2").tobytes()
+    return iq.astype(WIRE_DTYPE).tobytes()
 
 
 def deinterleave(buf: bytes, cfg: RadarConfig, frame_index: int = 0) -> DataCube:
-    """Decode one frame's bytes into a (chirp, rx, sample) complex cube."""
+    """One frame's bytes as a cube of wire pairs: a read-only, zero-copy
+    (chirp, rx, sample, 2) int16 view of ``buf``, decoded to complex only
+    where ``DataCube.data`` is read (see ``DataCube``)."""
     expected = frame_byte_count(cfg)
     if len(buf) != expected:
         raise SizeError(f"expected {expected} frame bytes, got {len(buf)}")
-    flat = np.frombuffer(buf, dtype="<i2").astype(np.float64)  # I, Q, I, Q, ...
-    data = flat.view(np.complex128).reshape(
-        cfg.chirps_per_frame, cfg.num_rx, cfg.samples_per_chirp
+    pairs = np.frombuffer(buf, dtype=WIRE_DTYPE).reshape(
+        cfg.chirps_per_frame, cfg.num_rx, cfg.samples_per_chirp, 2
     )
-    return DataCube(data=data, frame_index=frame_index, config=cfg)
+    return DataCube(pairs, frame_index, cfg)
 
 
 def _config_blob(cfg: RadarConfig) -> bytes:

@@ -24,7 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .capture import listen, read_capture_file, write_capture_file
+from .capture import (
+    deinterleave,
+    listen,
+    read_capture_file,
+    serialize_cube,
+    write_capture_file,
+)
 from .core import ConfigError, RadarError, decode_jsonable
 from .pipeline import (
     PipelineConfig,
@@ -192,9 +198,13 @@ def _cmd_bench(args) -> int:
     cfg = load_pipeline_config(args.config)
     dp_target = PointTarget(range_m=10.0, radial_velocity_m_s=0.0, amplitude=1000.0)
     noise = NoiseSpec(noise_power=100.0, seed=cfg.seed)
-    cubes = synthesize_capture(
-        cfg.radar, [(i, [dp_target]) for i in range(args.frames)], noise, args.frames
-    )
+    # Round-tripped through the wire format, as `process` and `listen` get frames.
+    cubes = [
+        deinterleave(serialize_cube(cube), cfg.radar, cube.frame_index)
+        for cube in synthesize_capture(
+            cfg.radar, [(i, [dp_target]) for i in range(args.frames)], noise, args.frames
+        )
+    ]
     start = time.perf_counter()
     results = run_pipeline(cfg, cubes, workers=args.workers)
     total_ms = (time.perf_counter() - start) / len(cubes) * 1e3

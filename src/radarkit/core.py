@@ -221,19 +221,37 @@ def readonly_view(a, dtype=None) -> np.ndarray:
     return view
 
 
+WIRE_DTYPE = np.dtype("<i2")  # one I or Q sample of the capture byte layout
+
+
 @dataclass(frozen=True, eq=False)
 class DataCube:
     """One frame of complex baseband samples, shape (chirp, rx, sample).
 
     The chirp axis is in transmission order (TX0 chirp0, TX1 chirp0, ...,
-    TX0 chirp1, ...): global chirp q was fired by TX q mod M. ``data`` is a
-    validated, read-only view (``readonly_view``): the array passed in stays
-    writable, and writing to it later changes the cube's samples.
+    TX0 chirp1, ...): global chirp q was fired by TX q mod M.
+
+    ``data`` may be given in either of two forms:
+
+    - wire pairs: a ``WIRE_DTYPE`` (int16) array of shape (chirp, rx,
+      sample, 2) holding I then Q, as ``capture.deinterleave`` passes a
+      frame's bytes. They are held as a read-only view, with no copy and no
+      NaN/Inf scan, since int16 holds neither.
+    - complex samples of shape (chirp, rx, sample), as the simulator makes
+      them. They are held as a read-only complex128 view (of a copy only if
+      their layout or dtype needs one) once checked finite.
+
+    The array passed in keeps its own flags, and writing to it later changes
+    the cube's samples. ``iq`` is the samples' real-pair view, shape
+    (chirp, rx, sample, 2), int16 or float64, which the stages read.
+    ``data`` is the read-only complex128 cube; for wire pairs it is decoded
+    on first access and kept.
     """
 
-    data: np.ndarray
+    data: np.ndarray = field(repr=False)
     frame_index: int
     config: RadarConfig = field(repr=False)
+    iq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.frame_index < 0:
@@ -244,18 +262,33 @@ class DataCube:
             self.config.samples_per_chirp,
         )
         arr = np.asarray(self.data)
+        if arr.dtype == WIRE_DTYPE and arr.shape == (*expected, 2):
+            object.__setattr__(self, "iq", readonly_view(arr))
+            object.__delattr__(self, "data")  # decoded by __getattr__ if asked for
+            return
         if arr.shape != expected:
             raise ConfigError(
                 f"data shape {arr.shape} does not match config shape {expected}"
             )
         arr = readonly_view(arr, np.complex128)
-        if not np.isfinite(arr.view(np.float64)).all():
+        iq = arr.view(np.float64).reshape(*expected, 2)
+        if not np.isfinite(iq).all():
             raise ConfigError("data contains NaN or Inf samples")
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "iq", iq)
+
+    def __getattr__(self, name):
+        # Reached only for attributes not set: ``data`` of wire pairs not yet decoded.
+        if name != "data" or "iq" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        data = self.iq.astype(np.float64).view(np.complex128).reshape(self.shape)
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        return data
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
+        return self.iq.shape[:-1]
 
 
 def _json_fields(cls) -> dict[str, dataclasses.Field]:

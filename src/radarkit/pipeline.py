@@ -11,17 +11,21 @@ stage's wall time and reports any stage failure as ``PipelineError``.
 Everything is deterministic given the input frames, so runs reproduce
 byte-identically regardless of worker count.
 
-The range FFT, Doppler FFT and power map run in work buffers of the calling
-thread: the range cube, the Doppler cube and its per-antenna |z|^2, each the
-size of one frame's samples (4 MiB for a 2 TX, 4 RX, 128-chirp, 256-sample
-frame), so about 2.5 cubes per thread that processes frames. They are
-allocated on the thread's first frame, reused by every later frame of the
-same size and freed with the thread; ``iter_pipeline`` keeps one pool of
-threads for a whole run, so a run allocates them once per thread. The
-windows are read-only arrays built once per window kind and length. A
-frame's range-Doppler cube is a view of its thread's buffer and is valid
-only until that thread's next frame; nothing in a ``FrameResult`` refers to
-the buffers.
+The range FFT, Doppler FFT and power map run in two work buffers of the
+calling thread: the cube buffer, the size of one frame's complex samples
+(4 MiB for a 2 TX, 4 RX, 128-chirp, 256-sample frame), and a scratch of
+ceil(N_c/2) Doppler rows, about half that, so 1.5 cubes per thread that
+processes frames. The frame's (I, Q) pairs, int16 from a capture, are cast
+into the cube buffer, windowed and FFT'd along range there, then windowed,
+FFT'd and shifted along Doppler in place; the shift parks the first
+ceil(N_c/2) rows in the scratch, and the power map then takes the scratch
+for the per-antenna |z|^2. The buffers are allocated on the thread's first
+frame, reused by every later frame of the same size and freed with the
+thread; ``iter_pipeline`` keeps one pool of threads for a whole run, so a
+run allocates them once per thread. The windows are read-only arrays built
+once per window kind and length. A frame's range-Doppler cube is a view of
+its thread's cube buffer and is valid only until that thread's next frame;
+nothing in a ``FrameResult`` refers to the buffers.
 """
 
 from __future__ import annotations
@@ -199,13 +203,13 @@ class FrameResult:
 _thread = threading.local()
 
 
-def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's flat range-cube, Doppler-cube and |z|^2 buffers of ``size``
-    elements each; replaced only when a frame of another size arrives."""
+def _workspace(cube_size: int, scratch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's flat complex128 cube buffer of ``cube_size`` elements and
+    shift/|z|^2 scratch of ``scratch_size``; replaced only when a frame of
+    other sizes arrives."""
     buffers = getattr(_thread, "workspace", None)
-    if buffers is None or buffers[0].size != size:
-        buffers = (np.empty(size, np.complex128), np.empty(size, np.complex128),
-                   np.empty(size, np.float64))
+    if buffers is None or (buffers[0].size, buffers[1].size) != (cube_size, scratch_size):
+        buffers = (np.empty(cube_size, np.complex128), np.empty(scratch_size, np.complex128))
         _thread.workspace = buffers
     return buffers
 
@@ -222,19 +226,17 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     marks = [time.perf_counter()]
     try:
         radar = cfg.radar
-        rd_shape = (radar.chirps_per_frame_per_tx, radar.num_tx * radar.num_rx,
-                    radar.samples_per_chirp)
-        range_buf, doppler_buf, power_buf = _workspace(cube.data.size)
-        range_cube = range_processing(
-            cube, cfg.range_window, out=range_buf.reshape(cube.shape)
-        )
+        n_slow = radar.chirps_per_frame_per_tx
+        cube_size = n_slow * radar.num_tx * radar.num_rx * radar.samples_per_chirp
+        # The range cube becomes the range-Doppler cube in place; the scratch
+        # holds the first ceil(N_c/2) Doppler rows for the shift, then |z|^2.
+        buf, scratch = _workspace(cube_size, cube_size // n_slow * (n_slow - n_slow // 2))
+        range_cube = range_processing(cube, cfg.range_window, out=buf.reshape(cube.shape))
         marks.append(time.perf_counter())
-        rd = doppler_processing(
-            range_cube, radar, cfg.doppler_window,
-            out=doppler_buf.reshape(rd_shape), overwrite_input=True,
-        )
+        rd = doppler_processing(range_cube, radar, cfg.doppler_window, work=scratch)
         marks.append(time.perf_counter())
-        linear = accumulate_power(rd, cfg.accumulation, work=power_buf.reshape(rd_shape))
+        power = scratch.view(np.float64)[:cube_size].reshape(rd.data.shape)
+        linear = accumulate_power(rd, cfg.accumulation, work=power)
         if cfg.log_gabor.enabled:
             linear = log_gabor_filter(
                 linear, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio

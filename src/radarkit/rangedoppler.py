@@ -84,13 +84,19 @@ def range_processing(
     """Window and FFT each chirp along the sample axis.
 
     Returns a (chirp, rx, range_bin) complex array; no shift is applied since
-    complex baseband range is one-sided. ``out``, a complex128 array of the
-    cube's shape, receives the windowed samples and then, in place, their
-    FFT; without it the result is a new array.
+    complex baseband range is one-sided. The cube's ``iq`` pairs are cast
+    into the result, windowed there (the complex-by-real product
+    ``cube.data * w``) and FFT'd in place, so int16 wire samples are never
+    decoded to a complex cube of their own. ``out``, a C-contiguous
+    complex128 array of the cube's shape, is that result; without it the
+    result is a new array.
     """
     w = _shared_window(window_kind, cube.config.samples_per_chirp)
-    windowed = np.multiply(cube.data, w, out=out)
-    return np.fft.fft(windowed, axis=-1, out=windowed)
+    if out is None:
+        out = np.empty(cube.shape, np.complex128)
+    np.copyto(out.view(np.float64).reshape(cube.iq.shape), cube.iq)
+    np.multiply(out, w, out=out)
+    return np.fft.fft(out, axis=-1, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +136,7 @@ def doppler_processing(
     cfg: RadarConfig,
     window_kind: WindowKind = WindowKind.RECTANGULAR,
     *,
-    out: np.ndarray | None = None,
-    overwrite_input: bool = False,
+    work: np.ndarray | None = None,
 ) -> RangeDopplerCube:
     """Regroup TX-interleaved chirps into virtual receivers and FFT slow time.
 
@@ -139,12 +144,12 @@ def doppler_processing(
     reshaped to (slow_time, virtual_rx = tx * num_rx + rx), windowed and
     FFT'd along slow time, then center-shifted so bin N_c/2 is zero Doppler.
 
-    ``out``, a complex128 array of the (doppler, virtual_rx, range) shape,
-    receives the shifted spectrum, and the returned cube is a read-only view
-    of it; without it the cube holds a new array. ``range_cube`` is left
-    unchanged unless ``overwrite_input`` is set: then the window and the FFT
-    run in place in it (a writable complex128 array), which spares a
-    cube-sized temporary and leaves its content undefined.
+    Without ``work`` the cube holds a new array and ``range_cube`` is left
+    unchanged. With it the stage runs in place: the window, the FFT and the
+    shift overwrite ``range_cube`` (a writable C-contiguous complex128
+    array), and the returned cube is a read-only view of it. ``work`` is the
+    shift's scratch, a complex128 array of at least ceil(N_c/2) * virtual_rx
+    * range elements, and its content is left undefined.
     """
     arr = np.asarray(range_cube)
     if arr.ndim != 3:
@@ -162,14 +167,16 @@ def doppler_processing(
     regrouped = arr.reshape(n_slow, m, n_rx, n_range)
     regrouped = regrouped.reshape(n_slow, m * n_rx, n_range)
     w = _shared_window(window_kind, n_slow)[:, np.newaxis, np.newaxis]
-    spectrum = np.multiply(regrouped, w, out=regrouped if overwrite_input else None)
+    spectrum = np.multiply(regrouped, w, out=None if work is None else regrouped)
     np.fft.fft(spectrum, axis=0, out=spectrum)
-    # np.fft.fftshift(spectrum, axes=0), as one copy into the output.
-    shifted = np.empty_like(spectrum) if out is None else out
+    # np.fft.fftshift(spectrum, axes=0): the first ceil(N/2) rows go last.
     half = n_slow - n_slow // 2
-    shifted[n_slow // 2:] = spectrum[:half]
-    shifted[:n_slow // 2] = spectrum[half:]
-    return RangeDopplerCube(data=shifted, config=cfg)
+    top = spectrum[:half]
+    head = np.empty_like(top) if work is None else work[:top.size].reshape(top.shape)
+    head[...] = top
+    spectrum[:n_slow // 2] = spectrum[half:]  # never overlaps: n_slow // 2 <= half
+    spectrum[n_slow // 2:] = head
+    return RangeDopplerCube(data=spectrum, config=cfg)
 
 
 def accumulate_power(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarkit import (
     AngleSpectrum,
@@ -27,7 +29,7 @@ from radarkit import (
     virtual_array,
     write_angle_spectrum_csv,
 )
-from radarkit.aoa import sorted_eig
+from radarkit.aoa import _peaks, sorted_eig
 
 from conftest import C0
 
@@ -315,6 +317,56 @@ def test_peak_angles_sorted_and_truncated():
     assert peak_angles(spec, 2) == [(3.0, 9.0), (5.0, 5.0)]
     with pytest.raises(ValueError):
         peak_angles(spec, 0)
+
+
+def _peaks_per_spectrum(angles, p, max_peaks):
+    """The former per-spectrum peak picker, verbatim."""
+    if max_peaks < 1:
+        raise ValueError(f"max_peaks must be >= 1, got {max_peaks}")
+    if len(p) < 3:
+        return []
+    interior = np.flatnonzero((p[1:-1] > p[:-2]) & (p[1:-1] > p[2:])) + 1
+    order = interior[np.argsort(p[interior])[::-1]]
+    return [(float(angles[i]), float(p[i])) for i in order[:max_peaks]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True),
+        min_size=1, max_size=6)),
+    st.integers(1, 4),
+)
+def test_batched_peaks_match_the_per_spectrum_picker(rows, max_peaks):
+    # unique=True: no two maxima of a spectrum tie, so the former order is defined.
+    p = np.array(rows)
+    angles = np.linspace(-80.0, 80.0, p.shape[1])
+    expected = [_peaks_per_spectrum(angles, row, max_peaks) for row in p]
+    assert _peaks(angles, p, max_peaks) == expected
+    assert peak_angles(AngleSpectrum(angles, p[0]), max_peaks) == expected[0]
+
+
+def test_tied_maxima_come_in_descending_angle_order():
+    p = np.array([[0, 5, 0, 5, 0, 7, 0, 5, 0], [0, 1, 0, 1, 0, 1, 0, 1, 0]], dtype=float)
+    angles = np.arange(9.0)
+    assert _peaks(angles, p, 3) == [[(5.0, 7.0), (7.0, 5.0), (3.0, 5.0)],
+                                    [(7.0, 1.0), (5.0, 1.0), (3.0, 1.0)]]
+    assert peak_angles(AngleSpectrum(angles, p[0]), 2) == [(5.0, 7.0), (7.0, 5.0)]
+
+
+def test_peaks_of_nan_rows_and_short_spectra():
+    angles = np.arange(7.0)
+    nan = np.full(7, np.nan)
+    beside_nan = np.array([0.0, 2.0, np.nan, 3.0, 1.0, 4.0, 0.0])  # no maximum beside NaN
+    p = np.array([nan, [0.0, 1.0, 0.0, 4.0, 0.0, 0.0, 0.0], beside_nan])
+    expected = [[], [(3.0, 4.0), (1.0, 1.0)], [(5.0, 4.0)]]
+    assert _peaks(angles, p, 2) == expected
+    assert [_peaks_per_spectrum(angles, row, 2) for row in p] == expected
+    assert _peaks(angles[:2], np.ones((3, 2)), 1) == [[], [], []]
+    assert peak_angles(AngleSpectrum(angles[:2], np.array([0.0, 1.0]))) == []
+    assert _peaks(angles, np.empty((0, 6)), 1) == []
+    with pytest.raises(ValueError):
+        _peaks(angles[:2], np.ones((1, 2)), 0)
 
 
 def test_two_source_music_gives_two_peaks():

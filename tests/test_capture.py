@@ -250,6 +250,39 @@ def test_deinterleave_size_mismatch(c0):
         deinterleave(b"\x00" * 100, c0)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_deinterleave_holds_a_read_only_view_of_the_frame_bytes(monkeypatch):
+    cfg = small_config(num_tx=2, num_rx=2, chirps=3, samples=8)
+    rng = np.random.default_rng(11)
+    buf = rng.integers(-32768, 32768, frame_byte_count(cfg) // 2).astype("<i2").tobytes()
+    monkeypatch.setattr(np, "isfinite", _refuse)  # int16 holds no NaN or Inf
+    cube = deinterleave(buf, cfg, 4)
+    monkeypatch.undo()
+    wire = np.frombuffer(buf, "<i2")
+    assert cube.frame_index == 4 and cube.shape == (6, 2, 8)
+    assert cube.iq.dtype == np.dtype("<i2") and cube.iq.shape == (6, 2, 8, 2)
+    assert np.shares_memory(cube.iq, wire) and not cube.iq.flags.writeable
+    assert "data" not in vars(cube)  # decoded only when asked for
+    expected = wire.astype(np.float64).view(np.complex128).reshape(cube.shape)
+    assert np.array_equal(cube.data, expected)
+    assert cube.data is cube.data and not cube.data.flags.writeable
+    with pytest.raises(ValueError):
+        cube.data[0, 0, 0] = 0
+
+
+def test_serialize_passes_a_wire_cube_through(monkeypatch):
+    cfg = small_config(num_tx=1, num_rx=2, chirps=4, samples=8)
+    buf = np.arange(frame_byte_count(cfg) // 2, dtype="<i2")[::-1].tobytes()
+    cube = deinterleave(buf, cfg)
+    for name in ("rint", "clip"):
+        monkeypatch.setattr(np, name, _refuse)
+    assert serialize_cube(cube) == buf
+    assert "data" not in vars(cube)
+
+
 @pytest.mark.parametrize("num_tx,num_rx,chirps,samples", [
     (1, 1, 2, 4), (2, 2, 4, 8), (3, 2, 2, 16), (2, 4, 8, 32), (4, 3, 4, 8),
 ])

@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarkit import (
     AoaMethod,
+    CfarParams,
     ConfigError,
     DataCube,
     NoiseSpec,
@@ -19,8 +22,13 @@ from radarkit import (
     pipeline_config_from_dict,
     process_frame,
     run_pipeline,
+    WindowKind,
+    deinterleave,
+    serialize_cube,
     synthesize_capture,
     synthesize_frame,
+    to_db,
+    window,
 )
 import radarkit.cli
 import radarkit.pipeline
@@ -241,6 +249,56 @@ def test_process_frame_allocates_less_than_a_cube_after_warm_up(c0):
     finally:
         tracemalloc.stop()
     assert peak < frames[1].data.nbytes
+
+
+def test_front_end_buffers_total_at_most_one_and_a_half_cubes(c0):
+    cfg = PipelineConfig(radar=c0)
+    frames = _one_target_frames(2)
+    process_frame(cfg, frames[0])  # warm-up: allocates this thread's buffers
+    process_frame(cfg, frames[1])
+    held = sum(b.nbytes for b in radarkit.pipeline._thread.workspace)
+    assert held <= 1.5 * frames[1].data.nbytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_tx=st.integers(1, 3),
+    chirps=st.integers(5, 12),
+    range_kind=st.sampled_from(WindowKind),
+    doppler_kind=st.sampled_from(WindowKind),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wire_and_complex_cubes_give_the_reference_front_end(
+    num_tx, chirps, range_kind, doppler_kind, seed
+):
+    radar = small_config(num_tx=num_tx, num_rx=2, chirps=chirps, samples=16)
+    cfg = PipelineConfig(
+        radar=radar, range_window=range_kind, doppler_window=doppler_kind,
+        range_cfar=CfarParams(guard_cells=1, train_cells=2),
+        doppler_cfar=CfarParams(guard_cells=1, train_cells=1),
+    )
+    frame = synthesize_frame(radar, [PointTarget(12.0, 1.0, 10.0, 500.0)], NoiseSpec(50.0, seed))
+    samples = np.rint(frame.data)  # on the int16 grid, so both forms hold the same samples
+    complex_cube = DataCube(samples, 0, radar)
+    wire_cube = deinterleave(serialize_cube(complex_cube), radar)
+    # The former stage expressions.
+    rc = np.fft.fft(samples * window(range_kind, 16), axis=-1)
+    regrouped = rc.reshape(chirps, num_tx * 2, 16)
+    rd_ref = np.fft.fftshift(
+        np.fft.fft(regrouped * window(doppler_kind, chirps)[:, np.newaxis, np.newaxis], axis=0),
+        axes=0,
+    )
+    map_ref = to_db(np.sum(np.abs(rd_ref) ** 2, axis=1))
+    clouds = []
+    for cube in (complex_cube, wire_cube):
+        result = process_frame(cfg, cube)
+        # The range-Doppler cube stays in this thread's cube buffer until its next frame.
+        rd = radarkit.pipeline._thread.workspace[0].reshape(rd_ref.shape)
+        assert rd.tobytes() == rd_ref.tobytes()  # bit for bit, signed zeros included
+        assert result.power_map_db.tobytes() == map_ref.tobytes()
+        clouds.append(result.point_cloud)
+    assert clouds[0] == clouds[1]
+    assert "data" not in vars(wire_cube)  # the pipeline never decodes a wire cube
 
 
 def _failing_stage(*args):
