@@ -2,11 +2,12 @@
 
 Wire format, per datagram:
 
-    [u32 seq LE][u48 byte_offset LE][payload]      payload <= 1456 bytes
+    [u32 seq LE][u48 byte_offset LE][payload]      payload <= 65497 bytes
 
 ``seq`` counts packets from 0; ``byte_offset`` is the cumulative payload byte
 count before this packet, which lets reassembly infer the byte extent of lost
-packets and zero-fill it instead of dropping frames.
+packets and zero-fill it instead of dropping frames. A gap is given up once a
+seq more than 2 * window past it arrives, or after 0.2 s of live-socket silence.
 
 Frame byte layout: chirps outer, rx middle, samples inner; each sample is
 int16 I then int16 Q, little-endian. This matches the DataCube axis order, so
@@ -48,6 +49,7 @@ MAGIC = b"ORAD"
 FORMAT_VERSION = 1
 PACKET_HEADER_BYTES = 10
 DEFAULT_PAYLOAD_BYTES = 1456  # fits a 1500-byte MTU with the 10-byte header
+MAX_PAYLOAD_BYTES = 65507 - PACKET_HEADER_BYTES  # largest IPv4 UDP payload, less the header
 
 
 class TransportError(RadarError):
@@ -117,15 +119,13 @@ class PacketReassembler:
 
     ``window`` is the maximum out-of-order displacement tolerated: a packet
     displaced at most ``window`` places from its position in the full,
-    lossless order is always recovered. The gap next_seq .. p-1 before the
-    oldest pending seq p is given up (declared lost and its byte extent
-    zero-filled) once the arrival index (from 0) exceeds next_seq + window,
-    or once a seq greater than p - 1 + 2 * window has arrived: that seq sits
-    after position p - 1 + window of the lossless order, the last position
-    any seq of the gap can take, and arrivals keep that order. The second
-    bound does not count arrivals, so packets lost earlier in the stream do
-    not delay it: a gap holds back later bytes only until a seq more than
-    2 * window beyond its last seq arrives.
+    lossless order is always recovered. One rule gives the gap
+    next_seq .. p-1 before the oldest pending seq p up (declares it lost and
+    zero-fills its byte extent): a seq greater than p - 1 + 2 * window has
+    arrived. That seq sits after position p - 1 + window of the lossless
+    order, the last position any seq of the gap can take, and arrivals keep
+    that order. Earlier losses do not move the rule. ``flush`` gives every
+    gap up; ``CaptureListener`` calls it after 0.2 s of socket silence.
 
     Late arrivals of already-emitted or already-dropped seqs are ignored and
     not counted, which keeps packets_received + packets_dropped equal to
@@ -139,7 +139,6 @@ class PacketReassembler:
         self._pending: dict[int, CapturePacket] = {}
         self._next_seq = 0
         self._emitted_bytes = 0
-        self._arrivals = 0
         self._max_seq = -1
         self._received = 0
         self._dropped = 0
@@ -155,42 +154,34 @@ class PacketReassembler:
             reordered_count=self._reordered,
         )
 
-    def feed(self, packet: CapturePacket) -> bytes:
+    def feed(self, packet: CapturePacket) -> bytearray:
         """Accept one packet; return whatever bytes became emittable."""
+        out = bytearray()
         seq = packet.seq
         if seq < self._next_seq:
-            return b""  # late duplicate of an emitted or zero-filled seq
+            return out  # late duplicate of an emitted or zero-filled seq
         if seq in self._pending:
             if self._pending[seq].payload != packet.payload:
                 raise TransportError(f"duplicate seq {seq} with conflicting payload")
-            return b""
+            return out
         if seq < self._max_seq:
             self._reordered += 1
         self._max_seq = max(self._max_seq, seq)
         self._pending[seq] = packet
         self._received += 1
-        position = self._arrivals
-        self._arrivals += 1
-        out = bytearray(self._drain_in_order())
-        # Give up on the oldest gap once no seq in it can still arrive.
-        while self._pending and (
-            position > self._next_seq + self.window
-            or self._max_seq > min(self._pending) - 1 + 2 * self.window
-        ):
-            out += self._zero_fill_to(min(self._pending))
-            out += self._drain_in_order()
-        return bytes(out)
+        self._drain_in_order(out)
+        while self._pending and self._max_seq > min(self._pending) - 1 + 2 * self.window:
+            self._give_up_gap(out)
+        return out
 
-    def flush(self) -> bytes:
+    def flush(self) -> bytearray:
         """End of stream: zero-fill every known gap and emit the remainder."""
         out = bytearray()
         while self._pending:
-            out += self._zero_fill_to(min(self._pending))
-            out += self._drain_in_order()
-        return bytes(out)
+            self._give_up_gap(out)
+        return out
 
-    def _drain_in_order(self) -> bytes:
-        out = bytearray()
+    def _drain_in_order(self, out: bytearray) -> None:
         while self._next_seq in self._pending:
             pkt = self._pending.pop(self._next_seq)
             if pkt.byte_offset != self._emitted_bytes:
@@ -201,22 +192,24 @@ class PacketReassembler:
             out += pkt.payload
             self._emitted_bytes += len(pkt.payload)
             self._next_seq += 1
-        return bytes(out)
 
-    def _zero_fill_to(self, seq: int) -> bytes:
-        """Declare seqs next.._seq-1 lost; zero-fill their byte extent."""
+    def _give_up_gap(self, out: bytearray) -> None:
+        """Zero-fill the gap before the oldest pending seq into ``out``, then drain."""
+        seq = min(self._pending)
+        offset = self._pending[seq].byte_offset
         gap_packets = seq - self._next_seq
-        gap_bytes = self._pending[seq].byte_offset - self._emitted_bytes
-        if gap_bytes < 0:
+        gap_bytes = offset - self._emitted_bytes
+        if not 0 <= gap_bytes <= gap_packets * MAX_PAYLOAD_BYTES:
             raise TransportError(
-                f"seq {seq} byte_offset {self._pending[seq].byte_offset} "
-                f"precedes {self._emitted_bytes} bytes already emitted"
+                f"seq {seq} byte_offset {offset} is not within {gap_packets} "
+                f"packets of {self._emitted_bytes} bytes emitted"
             )
         self._dropped += gap_packets
         self._zero_filled += gap_bytes
-        self._emitted_bytes += gap_bytes
+        self._emitted_bytes = offset
         self._next_seq = seq
-        return b"\x00" * gap_bytes
+        out += bytes(gap_bytes)
+        self._drain_in_order(out)
 
 
 def reassemble(
@@ -363,8 +356,10 @@ class CaptureListener:
     Runs as a daemon thread; completed frames are delivered through a bounded
     queue with a drop-oldest backpressure policy (``frames_dropped_backpressure``
     counts casualties). Frames are never partially emitted: bytes accumulate
-    until a full frame extent is available. An error that ends the thread (a
-    datagram shorter than its header, a ``byte_offset`` conflict) is raised by
+    until a full frame extent is available. A gap is given up once a seq more
+    than 2 * window past it arrives, and 0.2 s of silence gives every gap up,
+    which delivers a stream's last frame. An error that ends the thread (a short
+    datagram, a ``byte_offset`` the stream contradicts) is raised by
     ``frames`` once the frames completed before it have been yielded.
     """
 
@@ -406,6 +401,7 @@ class CaptureListener:
                 try:
                     datagram = self._sock.recv(65536)
                 except socket.timeout:
+                    self._ingest(self._reassembler.flush())  # quiet: give every gap up
                     continue
                 except OSError:
                     break
@@ -417,10 +413,10 @@ class CaptureListener:
             self._sock.close()
             self._put(_END)
 
-    def _ingest(self, data: bytes):
+    def _ingest(self, data: bytearray):
         self._buffer += data
         while len(self._buffer) >= self._frame_bytes:
-            frame = bytes(self._buffer[: self._frame_bytes])
+            frame = bytes(memoryview(self._buffer)[: self._frame_bytes])
             del self._buffer[: self._frame_bytes]
             cube = deinterleave(frame, self.cfg, self._frame_index)
             report = self._reassembler.report
@@ -480,7 +476,8 @@ def listen(
 
     Blocks between frames; stops after ``max_frames`` frames or once no frame
     completes within ``idle_timeout_s`` (None = wait forever). Frames with
-    zero-filled loss are emitted, not suppressed.
+    zero-filled loss are emitted, not suppressed. A gap is given up once a seq
+    more than 2 * ``window`` past it arrives, and every gap after 0.2 s of silence.
     """
     listener = CaptureListener(port, cfg, window, host=host)
     try:

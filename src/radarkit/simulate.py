@@ -38,7 +38,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .capture import DEFAULT_PAYLOAD_BYTES, CapturePacket, serialize_cube
+from .capture import (
+    DEFAULT_PAYLOAD_BYTES,
+    MAX_PAYLOAD_BYTES,
+    CapturePacket,
+    serialize_cube,
+)
 from .core import (
     SPEED_OF_LIGHT,
     DataCube,
@@ -179,11 +184,13 @@ def packetize(
 
     Sequence numbers are consecutive from 0 and byte offsets cumulative; the
     last packet may be short. ``payload_bytes`` must be a positive multiple
-    of 4 so packets hold whole int16 I/Q pairs.
+    of 4 so packets hold whole int16 I/Q pairs, and at most
+    ``MAX_PAYLOAD_BYTES`` so each packet fits one UDP datagram.
     """
-    if payload_bytes <= 0 or payload_bytes % 4 != 0:
+    if not 0 < payload_bytes <= MAX_PAYLOAD_BYTES or payload_bytes % 4 != 0:
         raise ValueError(
-            f"payload_bytes must be a positive multiple of 4, got {payload_bytes}"
+            f"payload_bytes must be a positive multiple of 4 up to "
+            f"{MAX_PAYLOAD_BYTES}, got {payload_bytes}"
         )
     stream = b"".join(serialize_cube(cube) for cube in cubes)
     return [

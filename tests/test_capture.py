@@ -24,6 +24,7 @@ from radarkit import (
     serialize_cube,
     write_capture_file,
 )
+from radarkit.capture import MAX_PAYLOAD_BYTES
 
 from conftest import random_int_cube_data, small_config
 
@@ -122,16 +123,17 @@ def test_gap_kept_open_while_its_seq_can_still_arrive():
 
 
 def test_gap_deadline_does_not_drift_with_earlier_losses():
-    # An in-order stream losing every fifth seq: each lost seq m is zero-filled,
-    # and seq m + 1 emitted, once seq m + 2 * window + 1 has been fed, however
-    # many packets were lost before m.
+    # An in-order stream losing every fifth seq, the first seq included: each
+    # lost seq m is zero-filled, and seq m + 1 emitted, once seq
+    # m + 2 * window + 1 has been fed, and not before, however many packets
+    # were lost before m.
     window, n = 3, 120
     payloads = [bytes([1 + s % 255]) * (1 + s % 7) for s in range(n)]
     pkts = _packets(payloads)
     lost = set(range(0, n, 5))
     r = PacketReassembler(window)
     out = bytearray()
-    checked = 0
+    checked, held = 0, set()
     for pkt in pkts:
         if pkt.seq in lost:
             continue
@@ -142,7 +144,30 @@ def test_gap_deadline_does_not_drift_with_earlier_losses():
             assert out[start:start + len(payloads[m]) + len(payloads[m + 1])] == (
                 bytes(len(payloads[m])) + payloads[m + 1]), m
             checked += 1
+        for m in lost:
+            if m < pkt.seq <= m + 2 * window:
+                assert len(out) <= pkts[m].byte_offset, (m, pkt.seq)
+                held.add(m)
     assert checked == len(lost) - 1
+    assert held == lost
+
+
+def test_absurd_byte_offset_is_a_transport_error():
+    # Seq 12 claims 2**47 bytes for the 2 lost seqs before it: more than two
+    # datagrams can carry.
+    pkts = [CapturePacket(i, 4 * i, b"abcd") for i in range(10)]
+    with pytest.raises(TransportError, match=f"seq 12 byte_offset {2**47}"):
+        reassemble(pkts + [CapturePacket(12, 2**47, b"zzzz")], window=4)
+
+
+def test_largest_packetized_payloads_pass_the_byte_offset_bound():
+    cfg = small_config(num_tx=2, num_rx=2, chirps=64, samples=128)
+    cube = DataCube(random_int_cube_data(np.random.default_rng(7), cfg), 0, cfg)
+    pkts = packetize([cube], payload_bytes=MAX_PAYLOAD_BYTES - 1)
+    assert len(pkts) == 3
+    stream, report = reassemble([pkts[0], pkts[2]], window=1)
+    assert stream == pkts[0].payload + bytes(MAX_PAYLOAD_BYTES - 1) + pkts[2].payload
+    assert report.packets_dropped == 1
 
 
 def test_listener_raises_thread_error_after_completed_frames():
@@ -396,6 +421,42 @@ def test_listen_with_drops_keeps_frame_cadence():
     total_dropped = sum(rep.packets_dropped for _, rep in received)
     assert total_dropped == 1
     assert total_zero == 1456
+
+
+def test_listen_delivers_the_stream_end():
+    # The one packet lost sits among the last `window` seqs, so no later seq
+    # gives it up: the quiet socket does, and the last frame is delivered.
+    cfg = small_config(num_tx=2, num_rx=2, chirps=16, samples=64)
+    rng = np.random.default_rng(14)
+    cubes = [DataCube(random_int_cube_data(rng, cfg), i, cfg) for i in range(3)]
+    packets = packetize(cubes, payload_bytes=1456)
+    lost = packets[-3]
+    listener = CaptureListener(0, cfg, window=4, host="127.0.0.1")
+    try:
+        _send_packets([p for p in packets if p is not lost], listener.port)
+        received = list(listener.frames(max_frames=3, idle_timeout_s=2.0))
+    finally:
+        listener.stop()
+    assert len(received) == 3
+    sent = b"".join(serialize_cube(c) for c in cubes)
+    end = lost.byte_offset + len(lost.payload)
+    expected = sent[:lost.byte_offset] + bytes(len(lost.payload)) + sent[end:]
+    assert b"".join(serialize_cube(got) for got, _ in received) == expected
+    assert sum(rep.packets_dropped for _, rep in received) == 1
+
+
+def test_listener_rejects_an_absurd_byte_offset():
+    cfg = small_config()
+    listener = CaptureListener(0, cfg, window=2, host="127.0.0.1")
+    try:
+        _send_packets([CapturePacket(seq=1, byte_offset=2**47, payload=b"x")],
+                      listener.port)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match=f"seq 1 byte_offset {2**47}"):
+            list(listener.frames(idle_timeout_s=5.0))
+        assert time.monotonic() - start < 1.5
+    finally:
+        listener.stop()
 
 
 def test_listen_no_traffic_stays_alive():

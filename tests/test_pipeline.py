@@ -383,37 +383,10 @@ def test_cli_errors_are_single_line_json(tmp_path, capsys):
     assert "error" in err and "message" in err
 
 
-def test_cli_replay_listen_loopback(tmp_path, capsys):
-    cfg_path = tmp_path / "pipeline.json"
-    scene_path = tmp_path / "scene.json"
-    capture_path = tmp_path / "capture.orad"
+def test_cli_replay_listen_loopback(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "live"
-    _write_json(cfg_path, pipeline_dict())
-    _write_json(scene_path, scene_dict(n_frames=2))
-    main(["simulate", "--config", str(cfg_path), "--scene", str(scene_path),
-          "--out", str(capture_path)])
-
-    # Reserve an ephemeral port, then run the listen subcommand against it.
-    probe = CaptureListener(0, C0, window=2, host="127.0.0.1")
-    port = probe.port
-    probe.stop()
-
-    rc = {}
-    listener = threading.Thread(
-        target=lambda: rc.setdefault(
-            "code",
-            main(["listen", "--config", str(cfg_path), "--port", str(port),
-                  "--out", str(out_dir), "--frames", "2", "--idle-timeout-s", "10",
-                  "--window", "8"]),
-        )
-    )
-    listener.start()
-    import time
-    time.sleep(0.3)
-    assert main(["replay", "--in", str(capture_path),
-                 "--dest", f"127.0.0.1:{port}"]) == 0
-    listener.join(timeout=30)
-    assert rc.get("code") == 0
+    code, _ = _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=2)
+    assert code == 0
     drops = json.loads((out_dir / "drops.json").read_text())
     assert len(drops) == 2
     assert all(d["packets_dropped"] == 0 for d in drops)
@@ -421,44 +394,38 @@ def test_cli_replay_listen_loopback(tmp_path, capsys):
     assert (out_dir / "frame_1_points.csv").exists()
 
 
-def test_cli_replay_with_loss_reports_drops(tmp_path, capsys):
-    cfg_path = tmp_path / "pipeline.json"
-    scene_path = tmp_path / "scene.json"
-    capture_path = tmp_path / "capture.orad"
+def test_cli_replay_with_loss_reports_drops(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "lossy"
-    _write_json(cfg_path, pipeline_dict())
-    _write_json(scene_path, scene_dict(n_frames=3))
-    main(["simulate", "--config", str(cfg_path), "--scene", str(scene_path),
-          "--out", str(capture_path)])
-
-    probe = CaptureListener(0, C0, window=2, host="127.0.0.1")
-    port = probe.port
-    probe.stop()
-
-    rc = {}
     # Ask for 2 of the 3 replayed frames: frame-3 traffic keeps the gap
-    # deadlines advancing, so losses anywhere in frames 1-2 get zero-filled.
-    listener = threading.Thread(
-        target=lambda: rc.setdefault(
-            "code",
-            main(["listen", "--config", str(cfg_path), "--port", str(port),
-                  "--out", str(out_dir), "--frames", "2", "--idle-timeout-s", "15",
-                  "--window", "16"]),
-        )
-    )
-    listener.start()
-    import time
-    time.sleep(0.3)
-    assert main(["replay", "--in", str(capture_path), "--dest", f"127.0.0.1:{port}",
-                 "--loss", "0.01", "--seed", "5"]) == 0
-    listener.join(timeout=40)
-    assert rc.get("code") == 0
+    # deadline advancing, so losses anywhere in frames 1-2 get zero-filled.
+    code, _ = _listen_to_replay(
+        tmp_path, monkeypatch, out_dir, n_frames=3,
+        listen_args=["--frames", "2", "--idle-timeout-s", "15", "--window", "16"],
+        replay_args=["--loss", "0.01", "--seed", "5"])
+    assert code == 0
     drops = json.loads((out_dir / "drops.json").read_text())
     assert len(drops) == 2
     assert sum(d["packets_dropped"] for d in drops) > 0
     assert all(
         d["bytes_zero_filled"] == 1456 * d["packets_dropped"] for d in drops
     )
+
+
+def test_cli_listen_writes_the_last_frame_of_a_lossy_stream(tmp_path, monkeypatch,
+                                                           capsys):
+    # With this seed a packet lost near the end of the stream is given up by
+    # no later seq; the quiet socket gives it up before the idle timeout, so
+    # the last frame is written.
+    out_dir = tmp_path / "lossy"
+    code, _ = _listen_to_replay(
+        tmp_path, monkeypatch, out_dir, n_frames=2,
+        replay_args=["--loss", "0.01", "--reorder", "8", "--seed", "8"])
+    assert code == 0
+    for i in range(2):
+        for name in (f"frame_{i}_points.csv", f"frame_{i}_rd.csv", f"frame_{i}_rd.pgm"):
+            assert (out_dir / name).is_file()
+    assert len(json.loads((out_dir / "drops.json").read_text())) == 2
+    assert "captured 2 frames" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("idle_timeout", [None, "2"], ids=["no_timeout", "timeout"])
@@ -498,9 +465,14 @@ def test_cli_listen_thread_error_is_one_json_line(tmp_path, capsys, datagram,
     assert json.loads(lines[0])["error"] == "TransportError"
 
 
-def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3) -> tuple[int, int]:
+def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3, listen_args=(),
+                      replay_args=()) -> tuple[int, int]:
     """Run ``listen`` for ``n_frames`` frames on a thread, replay that many
-    simulated frames into it once it is bound; return (exit code, port)."""
+    simulated frames into it once it is bound; return (exit code, port).
+
+    ``listen_args`` follow listen's ``--frames n_frames --idle-timeout-s 10
+    --window 8``, so they override them; ``replay_args`` follow replay's flags.
+    """
     cfg_path = tmp_path / "pipeline.json"
     scene_path = tmp_path / "scene.json"
     capture_path = tmp_path / "capture.orad"
@@ -522,12 +494,14 @@ def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3) -> tuple[int, 
     rc = []
     listener = threading.Thread(target=lambda: rc.append(main(
         ["listen", "--config", str(cfg_path), "--port", str(port), "--out", str(out_dir),
-         "--frames", str(n_frames), "--idle-timeout-s", "10", "--window", "8"])),
+         "--frames", str(n_frames), "--idle-timeout-s", "10", "--window", "8",
+         *listen_args])),
         daemon=True)
     listener.start()
     assert bound.wait(timeout=30)
-    assert main(["replay", "--in", str(capture_path), "--dest", f"127.0.0.1:{port}"]) == 0
-    listener.join(timeout=30)
+    assert main(["replay", "--in", str(capture_path), "--dest", f"127.0.0.1:{port}",
+                 *replay_args]) == 0
+    listener.join(timeout=40)
     assert not listener.is_alive()
     return rc[0], port
 

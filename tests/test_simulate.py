@@ -20,6 +20,7 @@ from radarkit import (
     synthesize_capture,
     synthesize_frame,
 )
+from radarkit.capture import MAX_PAYLOAD_BYTES
 from radarkit.cli import main
 from radarkit.core import SPEED_OF_LIGHT, DataCube, derived_params, encode_jsonable
 
@@ -174,6 +175,8 @@ def test_packetize_empty_and_bad_payload(c0):
         packetize([], payload_bytes=1455)
     with pytest.raises(ValueError):
         packetize([], payload_bytes=0)
+    with pytest.raises(ValueError, match=str(MAX_PAYLOAD_BYTES)):
+        packetize([], payload_bytes=MAX_PAYLOAD_BYTES + 3)  # a multiple of 4
 
 
 def test_packetize_reassemble_deinterleave_round_trip():
