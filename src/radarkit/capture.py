@@ -6,8 +6,7 @@ Wire format, per datagram:
 
 ``seq`` counts packets from 0; ``byte_offset`` is the cumulative payload byte
 count before this packet, which lets reassembly infer the byte extent of lost
-packets and zero-fill it instead of dropping frames. A gap is given up once a
-seq more than 2 * window past it arrives, or after 0.2 s of live-socket silence.
+packets and zero-fill it instead of dropping frames.
 
 Frame byte layout: chirps outer, rx middle, samples inner; each sample is
 int16 I then int16 Q, little-endian. This matches the DataCube axis order, so
@@ -125,7 +124,7 @@ class PacketReassembler:
     arrived. That seq sits after position p - 1 + window of the lossless
     order, the last position any seq of the gap can take, and arrivals keep
     that order. Earlier losses do not move the rule. ``flush`` gives every
-    gap up; ``CaptureListener`` calls it after 0.2 s of socket silence.
+    gap up, ``flush_quiet`` those of at most 2 * window seqs.
 
     Late arrivals of already-emitted or already-dropped seqs are ignored and
     not counted, which keeps packets_received + packets_dropped equal to
@@ -178,6 +177,14 @@ class PacketReassembler:
         """End of stream: zero-fill every known gap and emit the remainder."""
         out = bytearray()
         while self._pending:
+            self._give_up_gap(out)
+        return out
+
+    def flush_quiet(self) -> bytearray:
+        """Sender paused: ``flush`` up to the first gap of over 2 * window seqs,
+        whose seq (a stray far ahead of the stream) stays pending as in ``feed``."""
+        out = bytearray()
+        while self._pending and min(self._pending) - self._next_seq <= 2 * self.window:
             self._give_up_gap(out)
         return out
 
@@ -356,11 +363,11 @@ class CaptureListener:
     Runs as a daemon thread; completed frames are delivered through a bounded
     queue with a drop-oldest backpressure policy (``frames_dropped_backpressure``
     counts casualties). Frames are never partially emitted: bytes accumulate
-    until a full frame extent is available. A gap is given up once a seq more
-    than 2 * window past it arrives, and 0.2 s of silence gives every gap up,
-    which delivers a stream's last frame. An error that ends the thread (a short
-    datagram, a ``byte_offset`` the stream contradicts) is raised by
-    ``frames`` once the frames completed before it have been yielded.
+    until a full frame extent is available. 0.2 s of silence gives gaps up
+    (``PacketReassembler.flush_quiet``), which delivers a stream's last frame.
+    An error that ends the thread (a short datagram, a ``byte_offset`` the
+    stream contradicts) is raised by ``frames`` once the frames completed
+    before it have been yielded.
     """
 
     def __init__(
@@ -401,12 +408,12 @@ class CaptureListener:
                 try:
                     datagram = self._sock.recv(65536)
                 except socket.timeout:
-                    self._ingest(self._reassembler.flush())  # quiet: give every gap up
+                    self._ingest(self._reassembler.flush_quiet())
                     continue
                 except OSError:
                     break
                 self._ingest(self._reassembler.feed(CapturePacket.decode(datagram)))
-            self._ingest(self._reassembler.flush())
+            self._ingest(self._reassembler.flush_quiet())
         except Exception as e:
             self._error = e
         finally:
@@ -476,8 +483,7 @@ def listen(
 
     Blocks between frames; stops after ``max_frames`` frames or once no frame
     completes within ``idle_timeout_s`` (None = wait forever). Frames with
-    zero-filled loss are emitted, not suppressed. A gap is given up once a seq
-    more than 2 * ``window`` past it arrives, and every gap after 0.2 s of silence.
+    zero-filled loss are emitted, not suppressed.
     """
     listener = CaptureListener(port, cfg, window, host=host)
     try:

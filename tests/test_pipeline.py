@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,13 @@ from radarkit import (
 )
 import radarkit.cli
 import radarkit.pipeline
-from radarkit.capture import CaptureListener, CapturePacket, write_capture_file
+from radarkit.capture import (
+    CaptureListener,
+    CapturePacket,
+    read_capture_file,
+    write_capture_file,
+)
+from radarkit.simulate import packetize
 from radarkit.cli import main
 from radarkit.detect import WindowError
 
@@ -396,8 +403,8 @@ def test_cli_replay_listen_loopback(tmp_path, monkeypatch, capsys):
 
 def test_cli_replay_with_loss_reports_drops(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "lossy"
-    # Ask for 2 of the 3 replayed frames: frame-3 traffic keeps the gap
-    # deadline advancing, so losses anywhere in frames 1-2 get zero-filled.
+    # Ask for 2 of the 3 replayed frames, so that later seqs, not the quiet
+    # socket, give up every loss in frames 1-2.
     code, _ = _listen_to_replay(
         tmp_path, monkeypatch, out_dir, n_frames=3,
         listen_args=["--frames", "2", "--idle-timeout-s", "15", "--window", "16"],
@@ -426,6 +433,35 @@ def test_cli_listen_writes_the_last_frame_of_a_lossy_stream(tmp_path, monkeypatc
             assert (out_dir / name).is_file()
     assert len(json.loads((out_dir / "drops.json").read_text())) == 2
     assert "captured 2 frames" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stale", [True, False], ids=["stale_offset", "plausible_offset"])
+def test_cli_listen_outlives_a_stray_seq_and_a_pause(tmp_path, monkeypatch, capsys,
+                                                    stale):
+    # After frame 0 comes one datagram of seq 10**6, then a pause past the
+    # 0.2 s quiet flush, then frames 1-2. The stray's gap spans more than
+    # 2 * window seqs, so the quiet flush leaves it pending and reads on.
+    def send(capture_path, port):
+        _, cubes = read_capture_file(capture_path)
+        packets = packetize(list(cubes))
+        end = packets[-1].byte_offset + len(packets[-1].payload)
+        stray = CapturePacket(10**6, 0 if stale else end, b"zzzz")
+        cut = next(i for i, p in enumerate(packets) if p.byte_offset >= end // 3)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for burst in (packets[:cut] + [stray], packets[cut:]):
+                for i, pkt in enumerate(burst):
+                    sock.sendto(pkt.encode(), ("127.0.0.1", port))
+                    if i % 64 == 63:
+                        time.sleep(0.0005)
+                time.sleep(0.6)
+
+    out_dir = tmp_path / "live"
+    code, _ = _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3, send=send)
+    assert code == 0
+    drops = json.loads((out_dir / "drops.json").read_text())
+    assert len(drops) == 3
+    assert all(d["packets_dropped"] == 0 for d in drops)
+    assert "captured 3 frames" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("idle_timeout", [None, "2"], ids=["no_timeout", "timeout"])
@@ -466,12 +502,13 @@ def test_cli_listen_thread_error_is_one_json_line(tmp_path, capsys, datagram,
 
 
 def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3, listen_args=(),
-                      replay_args=()) -> tuple[int, int]:
+                      replay_args=(), send=None) -> tuple[int, int]:
     """Run ``listen`` for ``n_frames`` frames on a thread, replay that many
     simulated frames into it once it is bound; return (exit code, port).
 
     ``listen_args`` follow listen's ``--frames n_frames --idle-timeout-s 10
     --window 8``, so they override them; ``replay_args`` follow replay's flags.
+    ``send(capture_path, port)``, if given, sends the frames instead of replay.
     """
     cfg_path = tmp_path / "pipeline.json"
     scene_path = tmp_path / "scene.json"
@@ -499,8 +536,11 @@ def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3, listen_args=()
         daemon=True)
     listener.start()
     assert bound.wait(timeout=30)
-    assert main(["replay", "--in", str(capture_path), "--dest", f"127.0.0.1:{port}",
-                 *replay_args]) == 0
+    if send is not None:
+        send(capture_path, port)
+    else:
+        assert main(["replay", "--in", str(capture_path),
+                     "--dest", f"127.0.0.1:{port}", *replay_args]) == 0
     listener.join(timeout=40)
     assert not listener.is_alive()
     return rc[0], port
