@@ -35,12 +35,14 @@ scene = [
 cube = synthesize_frame(cfg, scene, NoiseSpec(noise_power=250.0, seed=11))
 
 # Stage by stage: the 2-d CFAR flags every cell of each blob, grouping keeps
-# one cell per physical target.
+# one cell per physical target. The Doppler axis wraps, so the Doppler CFAR
+# window and the grouping both treat it as circular.
 rd = doppler_processing(range_processing(cube, WindowKind.HANN), cfg, WindowKind.HANN)
 linear_map = accumulate_power(rd)
 cfar = CfarParams(guard_cells=2, train_cells=8, pfa=1e-4)
-raw = cfar_2d(linear_map, cfar, cfar)
-grouped = group_peaks(raw, connectivity=8)
+doppler_cfar = CfarParams(guard_cells=2, train_cells=8, pfa=1e-4, circular=True)
+raw = cfar_2d(linear_map, cfar, doppler_cfar)
+grouped = group_peaks(raw, connectivity=8, doppler_bins=linear_map.shape[0])
 print(f"CFAR flagged {len(raw)} cells; grouping reduced them to {len(grouped)} targets:")
 for det in grouped:
     print(
@@ -50,7 +52,7 @@ for det in grouped:
 
 # Same thing through the pipeline, which also estimates an azimuth per
 # detection and converts bins to meters and meters/second.
-pipeline_cfg = PipelineConfig(radar=cfg, range_cfar=cfar, doppler_cfar=cfar)
+pipeline_cfg = PipelineConfig(radar=cfg, range_cfar=cfar, doppler_cfar=doppler_cfar)
 result = run_pipeline(pipeline_cfg, [cube])[0]
 print(f"\npipeline point cloud ({len(result.point_cloud)} points):")
 print(f"  {'range':>7s} {'vel':>7s} {'azim':>7s} {'x':>7s} {'y':>7s} {'snr':>6s}")

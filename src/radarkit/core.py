@@ -323,10 +323,10 @@ def decode_jsonable(tp, value, key: str = ""):
     a non-object, unknown keys, missing keys of fields without a default,
     values of the wrong JSON type (a bool is not a number; an int is taken
     as a float; ``Optional`` allows null) and enum names matching no member
-    (case-insensitively). Unset keys take their field defaults, a nested
-    object's those of its own class. A construction error (a ``RadarConfig``
-    failing ``validate_config``) is re-raised under the dataclass's key.
-    ``key`` prefixes every message.
+    (case-insensitively). Unset keys take the field defaults, nested ones
+    those of the field's default object (``doppler_cfar`` stays circular).
+    A construction error (a ``RadarConfig`` failing ``validate_config``) is
+    re-raised under the dataclass's key. ``key`` prefixes every message.
 
     Raises:
         ConfigError: naming the dotted key, e.g. ``range_cfar.guard_cells``.
@@ -363,6 +363,8 @@ def decode_jsonable(tp, value, key: str = ""):
     for k, v in value.items():
         f = fields[k]
         child = f"{key}.{k}" if key else k
+        if dataclasses.is_dataclass(f.default) and isinstance(v, dict):
+            v = encode_jsonable(f.default) | v  # unset keys from the default object
         kwargs[f.name] = decode_jsonable(hints[f.name], v, child)
     required = {k for k, f in fields.items() if f.default is f.default_factory is MISSING}
     if required - set(value):

@@ -180,39 +180,38 @@ def log_gabor_filter(
     return np.fft.ifft2(np.fft.fft2(m) * transfer).real
 
 
-_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_NEIGHBORS_8 = _NEIGHBORS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
-
-
 def group_peaks(
-    detections: Sequence[Detection], connectivity: int = 8
+    detections: Sequence[Detection], connectivity: int = 8, *, doppler_bins: int
 ) -> list[Detection]:
-    """Reduce each connected cluster of detections to its strongest cell."""
-    if connectivity == 4:
-        offsets = _NEIGHBORS_4
-    elif connectivity == 8:
-        offsets = _NEIGHBORS_8
-    else:
+    """Reduce each connected cluster of detections to its strongest cell.
+
+    Cells touch by an edge (``connectivity`` 4) or a corner too (8), and the
+    Doppler axis of the map's ``doppler_bins`` rows wraps; a bin off it is a
+    ``ValueError``. A cell listed twice counts as its last copy. Of equal
+    powers, the cell later in (doppler_bin, range_bin) order, the output order, wins.
+    """
+    if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    by_cell = {(d.doppler_bin, d.range_bin): d for d in detections}
-    seen: set[tuple[int, int]] = set()
+    offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+               if 0 < abs(dr) + abs(dc) <= connectivity // 4]
+    unvisited = {}  # (doppler row, range bin) -> (power, doppler_bin, range_bin, detection)
+    for d in detections:
+        if not 0 <= d.doppler_bin + doppler_bins // 2 < doppler_bins:
+            raise ValueError(f"doppler bin {d.doppler_bin} outside {doppler_bins} centered rows")
+        unvisited[d.doppler_bin % doppler_bins, d.range_bin] = (
+            d.power, d.doppler_bin, d.range_bin, d)
     peaks = []
-    for cell in by_cell:
-        if cell in seen:
-            continue
-        stack, component = [cell], []
-        seen.add(cell)
+    while unvisited:
+        stack = [unvisited.popitem()]
+        best = stack[0][1]
         while stack:
-            cur = stack.pop()
-            component.append(by_cell[cur])
+            (row, col), ranked = stack.pop()
+            best = max(best, ranked)
             for dr, dc in offsets:
-                nxt = (cur[0] + dr, cur[1] + dc)
-                if nxt in by_cell and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        peaks.append(max(component, key=lambda d: d.power))
-    peaks.sort(key=lambda d: (d.doppler_bin, d.range_bin))
-    return peaks
+                if (cell := ((row + dr) % doppler_bins, col + dc)) in unvisited:
+                    stack.append((cell, unvisited.pop(cell)))
+        peaks.append(best[-1])
+    return sorted(peaks, key=lambda d: (d.doppler_bin, d.range_bin))
 
 
 @dataclass(frozen=True)

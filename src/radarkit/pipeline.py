@@ -1,7 +1,7 @@
 """End-to-end processing runs: data cubes in, point clouds and maps out.
 
-Stage order is fixed: range FFT -> doppler FFT -> optional log-Gabor ->
-power map -> 2-d CFAR -> peak grouping -> angle estimation -> point cloud.
+Stage order is fixed: range FFT -> doppler FFT -> power map -> optional dB-map
+log-Gabor -> 2-d CFAR -> peak grouping -> angle estimation -> point cloud.
 Angle estimation gathers the detections' snapshots from the uncompensated
 range-Doppler cube, applying the TDM doppler compensation as it gathers, and
 estimates all detections of a frame in one batch against the config's
@@ -88,7 +88,7 @@ class PipelineError(RadarError):
 
 @dataclass(frozen=True)
 class LogGaborParams:
-    """``log_gabor_filter`` parameters, checked whether or not it is enabled."""
+    """``log_gabor_filter`` parameters (on the dB map), checked whether or not it is enabled."""
 
     enabled: bool = False
     f0_cycles: float = 0.1
@@ -103,13 +103,13 @@ class LogGaborParams:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of a reproducible processing run."""
+    """Every knob of a reproducible run; ``doppler_cfar`` is circular, as Doppler wraps."""
 
     radar: RadarConfig
     range_window: WindowKind = WindowKind.HANN
     doppler_window: WindowKind = WindowKind.HANN
     range_cfar: CfarParams = CfarParams()
-    doppler_cfar: CfarParams = CfarParams()
+    doppler_cfar: CfarParams = CfarParams(circular=True)
     aoa_method: AoaMethod = AoaMethod.FFT
     aoa_grid_step_deg: float = 0.1
     aoa_fft_bins: int = 256
@@ -237,15 +237,14 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
         marks.append(time.perf_counter())
         power = scratch.view(np.float64)[:cube_size].reshape(rd.data.shape)
         linear = accumulate_power(rd, cfg.accumulation, work=power)
-        if cfg.log_gabor.enabled:
-            linear = log_gabor_filter(
-                linear, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio
-            )
         map_db = to_db(linear)
+        if cfg.log_gabor.enabled:
+            map_db = log_gabor_filter(map_db, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio)
+            linear = 10.0 ** (map_db / 10.0)
         marks.append(time.perf_counter())
         cells = cfar_2d(linear, cfg.range_cfar, cfg.doppler_cfar)
         marks.append(time.perf_counter())
-        detections = group_peaks(cells, cfg.connectivity)
+        detections = group_peaks(cells, cfg.connectivity, doppler_bins=n_slow)
         marks.append(time.perf_counter())
         angle_lists = estimate_angles(
             cfg.aoa_plan,

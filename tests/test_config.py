@@ -29,10 +29,10 @@ from test_pipeline import c0_dict, pipeline_dict, scene_dict
 
 def test_config_hashes_unchanged(tmp_path):
     assert pipeline_config_from_dict(pipeline_dict()).config_sha256() == (
-        "12b007ad48ffa3f8c635578ce731f03702aedfe58df438f1f90b93081d09351f"
+        "9aa02552c2a2895b60d4ab5733ec70cc6ebc5189bc8ab264932ed61db495cb88"
     )
     assert PipelineConfig(radar=C0).config_sha256() == (
-        "42e83da1a48e5bb27c9c20c4302184bd509dea370394b6fd5beedd83aebff0b9"
+        "e0cc17089fc22dac9e0e65900910984e5221db2113bbfcfc553d05bb1456d950"
     )
     path = tmp_path / "empty.orad"
     write_capture_file(path, C0, [])
@@ -136,6 +136,20 @@ def test_cfar_mode_is_not_a_key():
     with pytest.raises(ConfigError, match="range_cfar: unknown keys"):
         pipeline_config_from_dict(pipeline_dict(range_cfar={"mode": "cross_2d"}))
     assert "mode" not in PipelineConfig(radar=C0).to_jsonable()["range_cfar"]
+
+
+def test_partial_nested_block_keeps_the_field_default():
+    # Unset keys of a nested block come from the field's default object: the
+    # Doppler CFAR stays circular, the range CFAR linear (README's blocks).
+    block = {"guard_cells": 2, "train_cells": 8, "pfa": 1e-3}
+    cfg = pipeline_config_from_dict(pipeline_dict(doppler_cfar=block, range_cfar=block))
+    assert cfg.doppler_cfar == CfarParams(pfa=1e-3, circular=True)
+    assert cfg.range_cfar == CfarParams(pfa=1e-3)
+    assert pipeline_config_from_dict(pipeline_dict()).doppler_cfar == CfarParams(circular=True)
+    linear = pipeline_config_from_dict(pipeline_dict(doppler_cfar={"circular": False}))
+    assert linear.doppler_cfar == CfarParams()
+    assert pipeline_config_from_dict(
+        pipeline_dict(log_gabor={"enabled": True})).log_gabor == LogGaborParams(enabled=True)
 
 
 def _without(*path):

@@ -10,6 +10,7 @@ from radarkit import (
     Detection,
     NoiseSpec,
     ParamError,
+    PipelineConfig,
     PointTarget,
     WindowError,
     WindowKind,
@@ -19,9 +20,11 @@ from radarkit import (
     ca_cfar_1d,
     cfar_2d,
     cfar_alpha,
+    derived_params,
     doppler_processing,
     group_peaks,
     log_gabor_filter,
+    process_frame,
     range_processing,
     synthesize_frame,
     to_point_cloud,
@@ -141,7 +144,7 @@ def test_cfar_2d_finds_simulated_target(c0):
         )
         rd = doppler_processing(range_processing(cube, WindowKind.HANN), c0, WindowKind.HANN)
         detections = cfar_2d(accumulate_power(rd), params, params)
-        grouped = group_peaks(detections)
+        grouped = group_peaks(detections, doppler_bins=c0.chirps_per_frame_per_tx)
         hits += (
             len(grouped) == 1
             and grouped[0].range_bin == 51
@@ -333,12 +336,12 @@ def _det(range_bin, doppler_bin, power):
 
 
 def test_group_peaks_empty():
-    assert group_peaks([]) == []
+    assert group_peaks([], doppler_bins=128) == []
 
 
 def test_group_peaks_adjacent_cells_reduce_to_strongest():
     dets = [_det(10, 0, 5.0), _det(11, 0, 9.0), _det(12, 0, 4.0)]
-    grouped = group_peaks(dets, connectivity=8)
+    grouped = group_peaks(dets, connectivity=8, doppler_bins=128)
     assert len(grouped) == 1
     assert grouped[0].range_bin == 11
 
@@ -346,15 +349,15 @@ def test_group_peaks_adjacent_cells_reduce_to_strongest():
 def test_group_peaks_gap_keeps_two_groups():
     dets = [_det(10, 0, 5.0), _det(12, 0, 4.0)]
     for connectivity in (4, 8):
-        assert len(group_peaks(dets, connectivity)) == 2
+        assert len(group_peaks(dets, connectivity, doppler_bins=128)) == 2
 
 
 def test_group_peaks_diagonal_connectivity():
     dets = [_det(10, 0, 5.0), _det(11, 1, 4.0)]
-    assert len(group_peaks(dets, connectivity=8)) == 1
-    assert len(group_peaks(dets, connectivity=4)) == 2
+    assert len(group_peaks(dets, connectivity=8, doppler_bins=128)) == 1
+    assert len(group_peaks(dets, connectivity=4, doppler_bins=128)) == 2
     with pytest.raises(ValueError):
-        group_peaks(dets, connectivity=6)
+        group_peaks(dets, connectivity=6, doppler_bins=128)
 
 
 def test_group_peaks_output_subset_of_input():
@@ -363,10 +366,85 @@ def test_group_peaks_output_subset_of_input():
         _det(int(rng.integers(0, 30)), int(rng.integers(-8, 8)), float(rng.uniform(1, 9)))
         for _ in range(40)
     ]
-    grouped = group_peaks(dets)
+    grouped = group_peaks(dets, doppler_bins=128)
     assert len(grouped) <= len(dets)
     pool = {(d.range_bin, d.doppler_bin, d.power) for d in dets}
     assert all((d.range_bin, d.doppler_bin, d.power) in pool for d in grouped)
+
+
+def _reference_group_peaks(detections, connectivity, doppler_bins):
+    """Pairwise union-find over the distinct cells, the last copy of each kept."""
+    cells = list({(d.doppler_bin, d.range_bin): d for d in detections}.values())
+    parent = list(range(len(cells)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells[:i]):
+            rows = (a.doppler_bin - b.doppler_bin) % doppler_bins
+            rows = min(rows, doppler_bins - rows)  # the Doppler axis wraps
+            cols = abs(a.range_bin - b.range_bin)
+            if max(rows, cols) == 1 and (connectivity == 8 or rows + cols == 1):
+                parent[root(i)] = root(j)
+    clusters = {}
+    for i, d in enumerate(cells):
+        clusters.setdefault(root(i), []).append(d)
+    peaks = [max(c, key=lambda d: (d.power, d.doppler_bin, d.range_bin))
+             for c in clusters.values()]
+    return sorted(peaks, key=lambda d: (d.doppler_bin, d.range_bin))
+
+
+@st.composite
+def _cell_lists(draw):
+    doppler_bins = draw(st.integers(1, 12))
+    lo, hi = -(doppler_bins // 2), doppler_bins - doppler_bins // 2 - 1
+    # Edge rows drawn as often as all others together; few powers, so ties happen.
+    rows = st.sampled_from([lo, hi]) | st.integers(lo, hi)
+    cells = draw(st.lists(st.tuples(rows, st.integers(0, 5), st.sampled_from([1.0, 2.0, 3.0])),
+                          max_size=40))
+    # snr_db tells the copies of a cell apart.
+    return doppler_bins, [Detection(c, r, p, 0.0, float(i)) for i, (r, c, p) in enumerate(cells)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cell_lists(), st.sampled_from([4, 8]))
+def test_group_peaks_equals_pairwise_union_find(cell_list, connectivity):
+    doppler_bins, dets = cell_list
+    got = group_peaks(dets, connectivity, doppler_bins=doppler_bins)
+    assert got == _reference_group_peaks(dets, connectivity, doppler_bins)
+    # One row past either edge would alias a row on the map.
+    for off_map in (-(doppler_bins // 2) - 1, doppler_bins - doppler_bins // 2):
+        with pytest.raises(ValueError, match="doppler bin"):
+            group_peaks([*dets, _det(0, off_map, 1.0)], connectivity, doppler_bins=doppler_bins)
+
+
+def test_group_peaks_joins_the_doppler_edge_rows():
+    dets = [_det(10, -64, 5.0), _det(10, 63, 9.0), _det(11, 62, 4.0)]
+    assert group_peaks(dets, doppler_bins=128) == [dets[1]]
+    assert group_peaks(dets, 4, doppler_bins=128) == [dets[2], dets[1]]  # 62 is diagonal
+    assert len(group_peaks(dets, doppler_bins=130)) == 2  # -64 and 63 are not neighbours
+
+
+def test_target_on_a_doppler_edge_row_gives_one_point(c0):
+    # One target on each row from +-58 out to the edge (-63.9 is just inside
+    # the velocity limit): the default config's circular Doppler CFAR and
+    # wrapped grouping leave one point, at the target's own Doppler bin.
+    cfg = PipelineConfig(radar=c0)
+    resolution = derived_params(c0).velocity_resolution_m_s
+    wrong = []
+    for row in [-63.9, *range(-63, -57), *range(58, 64)]:
+        for amplitude in (1000.0, 10000.0):
+            for seed in (0, 1):
+                target = PointTarget(10.0, row * resolution, 20.0, amplitude=amplitude)
+                cube = synthesize_frame(c0, [target], NoiseSpec(1000.0, seed))
+                velocities = [p.radial_velocity_m_s
+                              for p in process_frame(cfg, cube).point_cloud.points]
+                if velocities != [bin_to_velocity(round(row), c0)]:
+                    wrong.append((row, amplitude, seed, velocities))
+    assert wrong == []
 
 
 def test_to_point_cloud_geometry(c0):

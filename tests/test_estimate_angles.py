@@ -114,7 +114,7 @@ def test_batched_angles_equal_per_detection_loop(frames, frame, max_angles, meth
                             cfg.doppler_window)
     detections = group_peaks(
         cfar_2d(accumulate_power(rd, cfg.accumulation), cfg.range_cfar, cfg.doppler_cfar),
-        cfg.connectivity,
+        cfg.connectivity, doppler_bins=cfg.radar.chirps_per_frame_per_tx,
     )
     assert (len(detections) >= 8) == (frame != "no_detections")
     expected = reference_angles(cfg, rd, detections)
@@ -172,8 +172,8 @@ def test_capon_without_loading_on_noise_free_frame_names_frame():
 # that `process` writes, computed before angle estimation was batched.
 # run_manifest.json is left out: it records the Python and numpy versions.
 GOLDEN_OUTPUTS = {
-    "music": "826b794c48beba41864b73acbf3b534e5647c095b9e2a7c44e5c7d5b47b53b7b",
-    "capon": "258978bbaf0e5cddb9554589b24fea489402ff4de8393a9efbd5ecc522d0d955",
+    "music": "bbd933c33e0aebed6ed31dda43a4786da02b976110c17e39bc7d4d26f173bc60",
+    "capon": "ca83b219d31859160541a5fa89435d72a38f7ca94dae6f7a3241d58087829f9b",
 }
 
 

@@ -41,7 +41,7 @@ from radarkit.capture import (
 )
 from radarkit.simulate import packetize
 from radarkit.cli import main
-from radarkit.detect import WindowError
+from radarkit.detect import WindowError, log_gabor_filter
 
 from conftest import C0, small_config
 
@@ -178,6 +178,29 @@ def test_run_pipeline_covariance_methods(c0, method):
     cloud = results[0].point_cloud
     assert len(cloud) == 1
     assert abs(cloud.points[0].azimuth_deg - 20.0) <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_gabor_chain_finds_the_targets_and_no_noise(c0, seed):
+    # The filter acts on the dB map; CFAR reads its linear power, which has
+    # no negative cells, and the RD outputs hold the filtered dB map.
+    cfg = pipeline_config_from_dict(pipeline_dict(log_gabor={"enabled": True}))
+    dp = derived_params(c0)
+    targets = [PointTarget(10.0, 2.5367, 20.0, amplitude=1000.0),
+               PointTarget(30.0, -3.8, -10.0, amplitude=1000.0)]
+    cube = synthesize_frame(c0, targets, NoiseSpec(1000.0, seed))
+    result = process_frame(cfg, cube)
+    plain = process_frame(PipelineConfig(radar=c0), cube).power_map_db
+    assert np.array_equal(result.power_map_db, log_gabor_filter(
+        plain, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio))
+    points = sorted(result.point_cloud.points, key=lambda p: p.range_m)
+    assert len(points) == len(targets)
+    for p, t in zip(points, targets):
+        assert abs(p.range_m - t.range_m) <= dp.range_resolution_m / 2
+        assert abs(p.radial_velocity_m_s - t.radial_velocity_m_s) <= dp.velocity_resolution_m_s / 2
+        assert abs(p.azimuth_deg - t.azimuth_deg) <= 1.0
+    noise_only = synthesize_frame(c0, [], NoiseSpec(1000.0, seed))
+    assert len(process_frame(cfg, noise_only).point_cloud) == 0
 
 
 def test_run_pipeline_empty_scene(c0):
