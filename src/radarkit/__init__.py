@@ -24,6 +24,7 @@ from .simulate import (  # noqa: E402
     PointTarget,
     SimError,
     packetize,
+    stream_capture,
     synthesize_capture,
     synthesize_frame,
 )

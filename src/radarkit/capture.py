@@ -23,6 +23,7 @@ where the config blob is canonical key-sorted JSON text of the RadarConfig.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import queue
@@ -236,18 +237,25 @@ def frame_byte_count(cfg: RadarConfig) -> int:
     return cfg.chirps_per_frame * cfg.num_rx * cfg.samples_per_chirp * 4
 
 
+def quantize(iq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Quantize float (I, Q) pairs into ``out``, a ``WIRE_DTYPE`` array of
+    ``iq``'s shape: round to nearest (ties to even), saturate to int16 range.
+    ``iq`` is rounded in place on the way. Returns ``out``."""
+    np.rint(iq, out=iq)
+    np.clip(iq, -32768, 32767, out=iq)
+    np.copyto(out, iq, casting="unsafe")
+    return out
+
+
 def serialize_cube(cube: DataCube) -> bytes:
     """Encode a cube in the frame byte layout.
 
     A cube of wire pairs (``deinterleave``'s) is written as it is held.
-    Complex samples are quantized: round to nearest (ties to even), saturate
-    to int16 range.
+    Complex samples are quantized (``quantize``).
     """
     if cube.iq.dtype == WIRE_DTYPE:
         return cube.iq.tobytes()
-    iq = np.rint(cube.iq)
-    np.clip(iq, -32768, 32767, out=iq)
-    return iq.astype(WIRE_DTYPE).tobytes()
+    return quantize(cube.iq.copy(), np.empty(cube.iq.shape, WIRE_DTYPE)).tobytes()
 
 
 def deinterleave(buf: bytes, cfg: RadarConfig, frame_index: int = 0) -> DataCube:
@@ -289,18 +297,40 @@ class CaptureFileHeader:
     frame_count: int
 
 
-def write_capture_file(path, cfg: RadarConfig, cubes: Iterable[DataCube]) -> None:
-    """Write cubes to a capture file; ``read_capture_file`` is its inverse."""
-    frames = list(cubes)
+def write_capture_file(path, cfg: RadarConfig, cubes: Iterable[DataCube]) -> int:
+    """Write cubes to a capture file as they are drawn; return the frame count.
+
+    ``read_capture_file`` is the inverse. Each cube is written before the
+    next is drawn (wire pairs straight from their buffer), and the frame
+    count goes into the header after the last. The file is written under a
+    temporary name beside ``path`` (beside the file a symlink names) that
+    replaces ``path`` at the end, or is removed if anything fails, so
+    ``path`` never holds part of a capture. An existing ``path`` that is not
+    a regular file (e.g. ``/dev/null``) is written in place, never replaced;
+    it must be seekable.
+    """
     blob = _config_blob(cfg)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(frames)))
-        for cube in frames:
-            f.write(serialize_cube(cube))
+    header = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(blob)) + blob
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header + struct.pack("<I", 0))
+            count = 0
+            for cube in cubes:
+                f.write(cube.iq if cube.iq.dtype == WIRE_DTYPE else serialize_cube(cube))
+                count += 1
+            f.seek(len(header))
+            f.write(struct.pack("<I", count))
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException:
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+    return count
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

@@ -25,13 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .capture import (
-    deinterleave,
     listen,
     read_capture_file,
-    serialize_cube,
     write_capture_file,
 )
-from .core import ConfigError, RadarError, decode_jsonable
+from .core import ConfigError, DataCube, RadarError, decode_jsonable
 from .pipeline import (
     PipelineConfig,
     iter_pipeline,
@@ -41,7 +39,7 @@ from .pipeline import (
     write_frame_outputs,
     write_run_manifest,
 )
-from .simulate import NoiseSpec, PointTarget, packetize, synthesize_capture
+from .simulate import NoiseSpec, PointTarget, packetize, stream_capture
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,9 @@ def _load_scene(path) -> tuple[list[tuple[int, list[PointTarget]]], NoiseSpec, i
 def _cmd_simulate(args) -> int:
     cfg = load_pipeline_config(args.config)
     scene, noise, n_frames = _load_scene(args.scene)
-    cubes = synthesize_capture(cfg.radar, scene, noise, n_frames)
-    write_capture_file(args.out, cfg.radar, cubes)
-    print(f"wrote {len(cubes)} frames to {args.out}")
+    written = write_capture_file(
+        args.out, cfg.radar, stream_capture(cfg.radar, scene, noise, n_frames))
+    print(f"wrote {written} frames to {args.out}")
     return 0
 
 
@@ -198,10 +196,11 @@ def _cmd_bench(args) -> int:
     cfg = load_pipeline_config(args.config)
     dp_target = PointTarget(range_m=10.0, radial_velocity_m_s=0.0, amplitude=1000.0)
     noise = NoiseSpec(noise_power=100.0, seed=cfg.seed)
-    # Round-tripped through the wire format, as `process` and `listen` get frames.
+    # Wire pairs, as `process` and `listen` get frames; copied out of the
+    # stream's one buffer.
     cubes = [
-        deinterleave(serialize_cube(cube), cfg.radar, cube.frame_index)
-        for cube in synthesize_capture(
+        DataCube(cube.iq.copy(), cube.frame_index, cfg.radar)
+        for cube in stream_capture(
             cfg.radar, [(i, [dp_target]) for i in range(args.frames)], noise, args.frames
         )
     ]

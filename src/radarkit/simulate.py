@@ -28,13 +28,17 @@ Noise determinism: the generator is numpy's PCG64 (``np.random.default_rng``)
 seeded per frame with seed XOR frame_index, so frames can be synthesized in
 parallel and still reproduce bit-identically. The real parts are drawn
 first, then the imaginary parts, each scaled by sqrt(noise_power / 2).
+
+``stream_capture`` renders a capture frame by frame through buffers it
+allocates once, quantized to the capture file's int16 wire pairs, so
+``radarkit simulate`` holds one frame however long the capture is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,10 +46,12 @@ from .capture import (
     DEFAULT_PAYLOAD_BYTES,
     MAX_PAYLOAD_BYTES,
     CapturePacket,
+    quantize,
     serialize_cube,
 )
 from .core import (
     SPEED_OF_LIGHT,
+    WIRE_DTYPE,
     DataCube,
     RadarConfig,
     RadarError,
@@ -59,6 +65,15 @@ class SimError(RadarError):
     """A scene parameter is out of range for the config it is simulated against."""
 
 
+def _require_finite(name: str, value) -> None:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise SimError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PointTarget:
     """One ideal point scatterer with constant amplitude."""
@@ -69,6 +84,8 @@ class PointTarget:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if self.range_m <= 0:
             raise SimError(f"range_m must be > 0, got {self.range_m}")
         if not -90.0 < self.azimuth_deg < 90.0:
@@ -85,6 +102,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite("noise_power", self.noise_power)
         if self.noise_power < 0:
             raise SimError(f"noise_power must be >= 0, got {self.noise_power}")
 
@@ -111,8 +129,21 @@ def synthesize_frame(
     targets: Sequence[PointTarget],
     noise: NoiseSpec = NO_NOISE,
     frame_index: int = 0,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> DataCube:
-    """Synthesize one frame of beat-signal samples for the given targets."""
+    """Synthesize one frame of beat-signal samples for the given targets.
+
+    ``out``, a C-contiguous complex128 array of the cube's shape, receives
+    the samples, and the cube is a view of it; ``work``, a C-contiguous
+    float64 array of that shape, receives each noise draw. Without them the
+    frame gets new arrays.
+
+    Raises:
+        SimError: a target outside the config's limits, or samples that
+            overflow float64 (the message names the frame).
+    """
     _check_limits(cfg, targets)
     n_chirps = cfg.chirps_per_frame
     shape = (n_chirps, cfg.num_rx, cfg.samples_per_chirp)
@@ -140,14 +171,40 @@ def synthesize_frame(
     weights = amplitude * np.exp(
         2j * np.pi * (slow[:, np.newaxis, :] + antenna[:, :, np.newaxis] * sin_az)
     )
-    data = (weights.reshape(n_chirps * cfg.num_rx, n_targets) @ fast).reshape(shape)
+    if out is None:
+        out = np.empty(shape, np.complex128)
+    # Finite targets can still sum past the float64 range; that is checked
+    # once below, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(weights.reshape(n_chirps * cfg.num_rx, n_targets), fast,
+                  out=out.reshape(n_chirps * cfg.num_rx, cfg.samples_per_chirp))
+        if noise.noise_power > 0:
+            if work is None:
+                work = np.empty(shape)
+            rng = np.random.default_rng((noise.seed ^ frame_index) & _SEED_MASK)
+            sigma = math.sqrt(noise.noise_power / 2.0)
+            for part in (out.real, out.imag):
+                rng.standard_normal(out=work)
+                work *= sigma
+                part += work
+    if not np.isfinite(out.view(np.float64)).all():
+        raise SimError(f"frame {frame_index}: the targets' samples overflow float64")
+    return DataCube(data=out, frame_index=frame_index, config=cfg)
 
-    if noise.noise_power > 0:
-        rng = np.random.default_rng((noise.seed ^ frame_index) & _SEED_MASK)
-        sigma = math.sqrt(noise.noise_power / 2.0)
-        data.real += sigma * rng.standard_normal(shape)
-        data.imag += sigma * rng.standard_normal(shape)
-    return DataCube(data=data, frame_index=frame_index, config=cfg)
+
+def _frames_by_index(
+    scene: Sequence[tuple[int, Sequence[PointTarget]]], n_frames: int
+) -> dict[int, Sequence[PointTarget]]:
+    if n_frames < 1:
+        raise SimError(f"n_frames must be >= 1, got {n_frames}")
+    by_frame: dict[int, Sequence[PointTarget]] = {}
+    for frame_index, targets in scene:
+        if not 0 <= frame_index < n_frames:
+            raise SimError(f"scene frame {frame_index} outside [0, {n_frames})")
+        if frame_index in by_frame:
+            raise SimError(f"scene lists frame {frame_index} twice")
+        by_frame[frame_index] = targets
+    return by_frame
 
 
 def synthesize_capture(
@@ -162,19 +219,34 @@ def synthesize_capture(
     are empty. Target kinematics across frames are the scene author's job:
     the simulator renders each frame's target list as given.
     """
-    if n_frames < 1:
-        raise SimError(f"n_frames must be >= 1, got {n_frames}")
-    by_frame: dict[int, Sequence[PointTarget]] = {}
-    for frame_index, targets in scene:
-        if not 0 <= frame_index < n_frames:
-            raise SimError(f"scene frame {frame_index} outside [0, {n_frames})")
-        if frame_index in by_frame:
-            raise SimError(f"scene lists frame {frame_index} twice")
-        by_frame[frame_index] = targets
+    by_frame = _frames_by_index(scene, n_frames)
     return [
         synthesize_frame(cfg, by_frame.get(i, ()), noise, frame_index=i)
         for i in range(n_frames)
     ]
+
+
+def stream_capture(
+    cfg: RadarConfig,
+    scene: Sequence[tuple[int, Sequence[PointTarget]]],
+    noise: NoiseSpec = NO_NOISE,
+    n_frames: int = 1,
+) -> Iterator[DataCube]:
+    """``synthesize_capture``'s frames one at a time, as the int16 wire pairs
+    a capture file holds (``serialize_cube``'s quantization).
+
+    Each frame is made when it is drawn, in one set of buffers allocated
+    for the run, so a cube is valid only until the next is drawn.
+    """
+    by_frame = _frames_by_index(scene, n_frames)
+    shape = (cfg.chirps_per_frame, cfg.num_rx, cfg.samples_per_chirp)
+    samples = np.empty(shape, np.complex128)
+    draw = np.empty(shape)
+    wire = np.empty((*shape, 2), WIRE_DTYPE)
+    for i in range(n_frames):
+        synthesize_frame(cfg, by_frame.get(i, ()), noise, i, out=samples, work=draw)
+        quantize(samples.view(np.float64).reshape(wire.shape), out=wire)
+        yield DataCube(wire, i, cfg)
 
 
 def packetize(

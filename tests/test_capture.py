@@ -345,6 +345,17 @@ def test_capture_file_round_trip(tmp_path, c0):
     assert [c.frame_index for c in cubes2] == [0, 1, 2]
 
 
+def test_capture_file_written_through_a_symlink(tmp_path, c0):
+    real = tmp_path / "real.orad"
+    real.write_bytes(b"an earlier capture")
+    link = tmp_path / "link.orad"
+    link.symlink_to(real)
+    assert write_capture_file(link, c0, []) == 0
+    assert link.is_symlink()
+    assert read_capture_file(real)[0] == c0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.orad", "real.orad"]
+
+
 def test_capture_file_truncated(tmp_path, c0):
     rng = np.random.default_rng(3)
     path = tmp_path / "capture.orad"

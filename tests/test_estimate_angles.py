@@ -169,7 +169,7 @@ def test_capon_without_loading_on_noise_free_frame_names_frame():
 
 
 # sha256 over the names and bytes of the points CSV, RD CSV and RD PGM files
-# that `process` writes, computed before angle estimation was batched.
+# that `process` writes under the circular Doppler CFAR default.
 # run_manifest.json is left out: it records the Python and numpy versions.
 GOLDEN_OUTPUTS = {
     "music": "bbd933c33e0aebed6ed31dda43a4786da02b976110c17e39bc7d4d26f173bc60",

@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +24,14 @@ from radarkit import (
     synthesize_capture,
     synthesize_frame,
 )
-from radarkit.capture import MAX_PAYLOAD_BYTES
+from radarkit.capture import MAX_PAYLOAD_BYTES, write_capture_file
 from radarkit.cli import main
 from radarkit.core import SPEED_OF_LIGHT, DataCube, derived_params, encode_jsonable
 
 from conftest import C0, random_int_cube_data, small_config
 
 NO_NOISE = NoiseSpec(0.0, 0)
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_empty_scene_is_all_zero(c0):
@@ -308,3 +313,107 @@ def test_simulate_capture_matches_golden(tmp_path):
     assert main(["simulate", "--config", str(cfg_path), "--scene", str(scene_path),
                  "--out", str(capture)]) == 0
     assert hashlib.sha256(capture.read_bytes()).hexdigest() == GOLDEN_CAPTURE_SHA256
+
+
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "int-1e400"]
+)
+@pytest.mark.parametrize("name", ["range_m", "radial_velocity_m_s", "azimuth_deg", "amplitude"])
+def test_non_finite_target_fields_rejected(name, value):
+    with pytest.raises(SimError, match=f"{name} must be a finite number"):
+        PointTarget(**{"range_m": 10.0, name: value})
+
+
+@pytest.mark.parametrize("power", [math.inf, math.nan])
+def test_non_finite_noise_power_rejected(power):
+    with pytest.raises(SimError, match="noise_power must be a finite number"):
+        NoiseSpec(power, 0)
+
+
+_HUGE = PointTarget(10.0, amplitude=1e308)
+
+
+def test_overflowing_frame_is_a_sim_error_naming_the_frame(c0):
+    # Under the suite's warnings-as-errors, a numpy warning would fail this too.
+    with pytest.raises(SimError, match="frame 3"):
+        synthesize_frame(c0, [_HUGE, _HUGE], NO_NOISE, frame_index=3)
+
+
+def _simulate_argv(tmp_path, scene: dict, cfg=C0) -> list[str]:
+    """``simulate`` arguments, less ``--out``, for ``scene`` and a pipeline of ``cfg``."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"radar": encode_jsonable(cfg)}), encoding="utf-8")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene), encoding="utf-8")
+    return ["simulate", "--config", str(cfg_path), "--scene", str(scene_path)]
+
+
+@pytest.mark.parametrize("existing", [b"an earlier capture", None])
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        ([{"frame": 0, "targets": [{"range_m": 10.0, "amplitude": math.inf}]}],
+         "amplitude must be a finite number"),
+        ([{"frame": 1, "targets": [encode_jsonable(_HUGE)] * 2}], "frame 1"),
+    ],
+    ids=["infinite-amplitude", "overflow-on-frame-1"],
+)
+def test_cli_simulate_failure_is_one_json_line_and_leaves_out_as_it_was(
+    tmp_path, capsys, frames, message, existing
+):
+    argv = _simulate_argv(tmp_path, {"n_frames": 2, "frames": frames})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "capture.orad"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert main(argv + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["message"]
+    if existing is None:
+        assert list(out_dir.iterdir()) == []
+    else:
+        assert list(out_dir.iterdir()) == [out]
+        assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("num_tx", [2, 1])
+def test_simulate_writes_the_bytes_of_the_listed_capture(tmp_path, num_tx):
+    cfg = dataclasses.replace(C0, num_tx=num_tx, tx_spacing_wavelengths=None)
+    rng = np.random.default_rng(num_tx)
+    scene = [(f, _random_targets(cfg, rng, 5)) for f in (0, 2)]  # frames 1 and 3 empty
+    noise = NoiseSpec(1000.0, seed=17)
+    argv = _simulate_argv(tmp_path, {
+        "noise_power": noise.noise_power, "seed": noise.seed, "n_frames": 4,
+        "frames": [{"frame": f, "targets": [encode_jsonable(t) for t in targets]}
+                   for f, targets in scene],
+    }, cfg)
+    streamed, listed = tmp_path / "streamed.orad", tmp_path / "listed.orad"
+    assert main(argv + ["--out", str(streamed)]) == 0
+    write_capture_file(listed, cfg, synthesize_capture(cfg, scene, noise, 4))
+    assert streamed.read_bytes() == listed.read_bytes()
+
+
+def test_simulate_peak_memory_does_not_grow_with_frames(tmp_path):
+    """``simulate`` holds one frame at a time: the peak RSS of a 32-frame C0
+    capture is within 4 MiB of an 8-frame one's, where a capture held in
+    full grows by about 4 MiB a frame."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    peak_kib = {}
+    for n in (8, 32):
+        target = {"range_m": 10.0, "amplitude": 1000.0}
+        argv = _simulate_argv(tmp_path / str(n), {
+            "n_frames": n, "frames": [{"frame": 0, "targets": [target]}]})
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radarkit.cli", *argv, "--out", str(tmp_path / f"{n}.orad")],
+            env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peak_kib[n] = usage.ru_maxrss  # KiB on Linux
+    assert peak_kib[32] - peak_kib[8] <= 4 * 1024, peak_kib
