@@ -39,7 +39,6 @@ from .capture import (  # noqa: E402
     TransportError,
     deinterleave,
     frame_byte_count,
-    listen,
     read_capture_file,
     reassemble,
     serialize_cube,

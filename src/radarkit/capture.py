@@ -31,7 +31,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,13 +68,12 @@ class BindError(RadarError):
     """UDP listen port could not be bound."""
 
 
-@dataclass(frozen=True)
-class CapturePacket:
+class CapturePacket(NamedTuple):
     """One sequenced UDP payload unit."""
 
     seq: int
     byte_offset: int
-    payload: bytes
+    payload: bytes  # a memoryview of the datagram once decoded
 
     def encode(self) -> bytes:
         """Serialize to the on-wire datagram."""
@@ -86,14 +85,14 @@ class CapturePacket:
 
     @classmethod
     def decode(cls, datagram: bytes) -> "CapturePacket":
+        """Parse a datagram; the payload is a view of it, not a copy."""
         if len(datagram) < PACKET_HEADER_BYTES:
             raise TransportError(
                 f"datagram of {len(datagram)} bytes is shorter than the "
                 f"{PACKET_HEADER_BYTES}-byte header"
             )
-        seq = struct.unpack_from("<I", datagram)[0]
-        offset = int.from_bytes(datagram[4:10], "little")
-        return cls(seq=seq, byte_offset=offset, payload=datagram[10:])
+        seq, offset_low, offset_high = struct.unpack_from("<IIH", datagram)
+        return cls(seq, offset_low | offset_high << 32, memoryview(datagram)[10:])
 
 
 @dataclass(frozen=True)
@@ -121,11 +120,12 @@ class PacketReassembler:
     displaced at most ``window`` places from its position in the full,
     lossless order is always recovered. One rule gives the gap
     next_seq .. p-1 before the oldest pending seq p up (declares it lost and
-    zero-fills its byte extent): a seq greater than p - 1 + 2 * window has
-    arrived. That seq sits after position p - 1 + window of the lossless
-    order, the last position any seq of the gap can take, and arrivals keep
-    that order. Earlier losses do not move the rule. ``flush`` gives every
-    gap up, ``flush_quiet`` those of at most 2 * window seqs.
+    zero-fills its byte extent): the seq arriving is greater than
+    p - 1 + 2 * window. That seq sits after position p - 1 + window of the
+    lossless order, the last position any seq of the gap can take, and
+    arrivals keep that order. Earlier losses do not move the rule, nor does
+    a stray seq far ahead of the stream once it has arrived. ``flush`` gives
+    every gap up, ``flush_quiet`` those of at most 2 * window seqs.
 
     Late arrivals of already-emitted or already-dropped seqs are ignored and
     not counted, which keeps packets_received + packets_dropped equal to
@@ -170,7 +170,7 @@ class PacketReassembler:
         self._pending[seq] = packet
         self._received += 1
         self._drain_in_order(out)
-        while self._pending and self._max_seq > min(self._pending) - 1 + 2 * self.window:
+        while self._pending and seq > min(self._pending) - 1 + 2 * self.window:
             self._give_up_gap(out)
         return out
 
@@ -280,8 +280,8 @@ def _config_blob(cfg: RadarConfig) -> bytes:
 def _config_from_blob(blob: bytes) -> RadarConfig:
     try:
         d = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"config blob is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:  # JSON and UTF-8 decode errors are ValueErrors
+        raise FormatError(f"config blob is not readable JSON: {e}") from e
     try:
         return decode_jsonable(RadarConfig, d)
     except ConfigError as e:
@@ -393,7 +393,8 @@ class CaptureListener:
     Runs as a daemon thread; completed frames are delivered through a bounded
     queue with a drop-oldest backpressure policy (``frames_dropped_backpressure``
     counts casualties). Frames are never partially emitted: bytes accumulate
-    until a full frame extent is available. 0.2 s of silence gives gaps up
+    until a full frame extent is available, and that buffer becomes the
+    frame's cube without a copy. 0.2 s of silence gives gaps up
     (``PacketReassembler.flush_quiet``), which delivers a stream's last frame.
     An error that ends the thread (a short datagram, a ``byte_offset`` the
     stream contradicts) is raised by ``frames`` once the frames completed
@@ -411,7 +412,8 @@ class CaptureListener:
         self._frame_bytes = frame_byte_count(cfg)
         self._reassembler = PacketReassembler(window)
         self._buffer = bytearray()
-        self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_FRAMES)
+        # One slot above the frames is kept for _END, so no frame is evicted for it.
+        self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_FRAMES + 1)
         self._stop = threading.Event()
         self._frame_index = 0
         self._last_report = DropReport()
@@ -448,31 +450,23 @@ class CaptureListener:
             self._error = e
         finally:
             self._sock.close()
-            self._put(_END)
+            self._queue.put_nowait(_END)
 
     def _ingest(self, data: bytearray):
         self._buffer += data
         while len(self._buffer) >= self._frame_bytes:
-            frame = bytes(memoryview(self._buffer)[: self._frame_bytes])
-            del self._buffer[: self._frame_bytes]
+            frame, self._buffer = self._buffer, self._buffer[self._frame_bytes:]
+            del frame[self._frame_bytes:]
             cube = deinterleave(frame, self.cfg, self._frame_index)
             report = self._reassembler.report
             item = (cube, report - self._last_report)
             self._last_report = report
             self._frame_index += 1
-            self._put(item)
-
-    def _put(self, item):
-        while True:
-            try:
-                self._queue.put_nowait(item)
-                return
-            except queue.Full:
-                try:
+            while self._queue.qsize() >= _QUEUE_FRAMES:
+                with contextlib.suppress(queue.Empty):
                     self._queue.get_nowait()
                     self.frames_dropped_backpressure += 1
-                except queue.Empty:
-                    pass
+            self._queue.put_nowait(item)
 
     def frames(
         self, max_frames: Optional[int] = None, idle_timeout_s: Optional[float] = None
@@ -499,24 +493,3 @@ class CaptureListener:
     def stop(self):
         self._stop.set()
         self._thread.join(timeout=5.0)
-
-
-def listen(
-    port: int,
-    cfg: RadarConfig,
-    window: int,
-    host: str = "0.0.0.0",
-    max_frames: Optional[int] = None,
-    idle_timeout_s: Optional[float] = None,
-) -> Iterator[tuple[DataCube, DropReport]]:
-    """Receive UDP capture traffic and yield completed frames with drop reports.
-
-    Blocks between frames; stops after ``max_frames`` frames or once no frame
-    completes within ``idle_timeout_s`` (None = wait forever). Frames with
-    zero-filled loss are emitted, not suppressed.
-    """
-    listener = CaptureListener(port, cfg, window, host=host)
-    try:
-        yield from listener.frames(max_frames=max_frames, idle_timeout_s=idle_timeout_s)
-    finally:
-        listener.stop()

@@ -11,7 +11,6 @@ with exit code 1 and a single-line JSON error object on stderr, e.g.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import socket
 import sys
@@ -24,15 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .capture import (
-    listen,
-    read_capture_file,
-    write_capture_file,
-)
+from .capture import CaptureListener, read_capture_file, write_capture_file
 from .core import ConfigError, DataCube, RadarError, decode_jsonable
 from .pipeline import (
     PipelineConfig,
     iter_pipeline,
+    load_json,
     load_pipeline_config,
     run_pipeline,
     write_drop_reports,
@@ -59,8 +55,7 @@ class _Scene:
 
 
 def _load_scene(path) -> tuple[list[tuple[int, list[PointTarget]]], NoiseSpec, int]:
-    with open(path, "r", encoding="utf-8") as f:
-        d = decode_jsonable(_Scene, json.load(f), "scene")
+    d = decode_jsonable(_Scene, load_json(path), "scene")
     scene = [(entry.frame, list(entry.targets)) for entry in d.frames]
     n_frames = d.n_frames
     if n_frames is None:
@@ -133,13 +128,14 @@ def _cmd_listen(args) -> int:
             reports[cube.frame_index] = report
             yield cube
 
-    # Closing the stream stops the listener, also when the run fails.
-    with contextlib.closing(listen(args.port, cfg.radar, window=args.window,
-                                   max_frames=args.frames, idle_timeout_s=timeout)) as stream:
-        for result in _run(cfg, out, cubes(stream)):
+    listener = CaptureListener(args.port, cfg.radar, window=args.window)
+    try:
+        for result in _run(cfg, out, cubes(listener.frames(args.frames, timeout))):
             i = result.frame_index
             print(f"frame {i}: {len(result.point_cloud)} points, "
                   f"{reports[i].packets_dropped} packets dropped")
+    finally:
+        listener.stop()
     write_drop_reports(out, list(reports.items()))
     print(f"captured {len(reports)} frames -> {out}")
     return 0

@@ -181,9 +181,22 @@ def pipeline_config_from_dict(d: dict) -> PipelineConfig:
     return decode_jsonable(PipelineConfig, d)
 
 
-def load_pipeline_config(path) -> PipelineConfig:
+def load_json(path):
+    """Parse a UTF-8 JSON file. JSON that Python cannot hold (an integer of
+    over 4300 digits, nesting deeper than the recursion limit) is a
+    ``ConfigError``; malformed JSON and bytes that are not UTF-8 keep their
+    own errors."""
     with open(path, "r", encoding="utf-8") as f:
-        return pipeline_config_from_dict(json.load(f))
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except (ValueError, RecursionError) as e:
+            raise ConfigError(f"cannot read the JSON in {path}: {e}") from e
+
+
+def load_pipeline_config(path) -> PipelineConfig:
+    return pipeline_config_from_dict(load_json(path))
 
 
 @dataclass(frozen=True)

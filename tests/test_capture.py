@@ -24,6 +24,7 @@ from radarkit import (
     serialize_cube,
     write_capture_file,
 )
+import radarkit.capture
 from radarkit.capture import MAX_PAYLOAD_BYTES
 
 from conftest import random_int_cube_data, small_config
@@ -152,6 +153,26 @@ def test_gap_deadline_does_not_drift_with_earlier_losses():
     assert held == lost
 
 
+def test_a_stray_seq_does_not_move_the_loss_deadline():
+    # A seq far ahead of the stream arrives after the 11th packet. The seven
+    # neighbour swaps after it stay within the window, so nothing is lost,
+    # and the stray's own gap is too long for the quiet flush to give up.
+    pkts = _packets([bytes([i]) * 8 for i in range(100)])
+    order = list(range(100))
+    for i in range(20, 90, 10):
+        order[i], order[i + 1] = order[i + 1], order[i]
+    arrivals = [pkts[i] for i in order]
+    arrivals.insert(11, CapturePacket(10**6, 0, b"zzzz"))
+    r = PacketReassembler(window=4)
+    out = bytearray()
+    for pkt in arrivals:
+        out += r.feed(pkt)
+    out += r.flush_quiet()
+    assert out == b"".join(p.payload for p in pkts)
+    assert r.report.packets_dropped == 0
+    assert r.report.bytes_zero_filled == 0
+
+
 def test_absurd_byte_offset_is_a_transport_error():
     # Seq 12 claims 2**47 bytes for the 2 lost seqs before it: more than two
     # datagrams can carry.
@@ -186,6 +207,31 @@ def test_listener_raises_thread_error_after_completed_frames():
             next(frames)
         with pytest.raises(TransportError):
             list(listener.frames(idle_timeout_s=5.0))
+    finally:
+        listener.stop()
+
+
+def test_backpressure_drops_the_oldest_frames_but_none_for_the_end(monkeypatch):
+    monkeypatch.setattr(radarkit.capture, "_QUEUE_FRAMES", 2)
+    cfg = small_config(num_tx=2, num_rx=2, chirps=16, samples=64)
+    rng = np.random.default_rng(17)
+    cubes = [DataCube(random_int_cube_data(rng, cfg), i, cfg) for i in range(4)]
+    listener = CaptureListener(0, cfg, window=4, host="127.0.0.1")
+    try:
+        _send_packets(packetize(cubes, payload_bytes=1456), listener.port)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.sendto(b"abc", ("127.0.0.1", listener.port))
+        # Nothing is read until the thread has queued all four frames and ended
+        # on the short datagram.
+        listener._thread.join(timeout=10.0)
+        assert not listener._thread.is_alive()
+        got = []
+        with pytest.raises(TransportError, match="3 bytes"):
+            for cube, _ in listener.frames(idle_timeout_s=5.0):
+                got.append(cube)
+        assert [c.frame_index for c in got] == [2, 3]
+        assert all(np.array_equal(c.data, cubes[c.frame_index].data) for c in got)
+        assert listener.frames_dropped_backpressure == 2
     finally:
         listener.stop()
 

@@ -177,6 +177,10 @@ MALFORMED = {
     "noise_power_str": ({}, dict(scene_dict(n_frames=1), noise_power="x"), None,
                         "ConfigError", "scene.noise_power"),
     "header_blob_not_object": ({}, None, b"5", "FormatError", "object"),
+    "header_blob_int_of_5001_digits": ({}, None, b"1" + b"0" * 5000, "FormatError",
+                                       "4300 digits"),
+    "header_blob_nested_100000_deep": ({}, None, b"[" * 100000, "FormatError",
+                                       "recursion"),
     "connectivity": ({"connectivity": 6}, None, None, "ConfigError", "connectivity"),
     "max_angles": ({"max_angles_per_detection": 0}, None, None,
                    "ConfigError", "max_angles_per_detection"),
@@ -281,3 +285,24 @@ def test_cli_non_utf8_input_is_one_json_line(tmp_path, capsys, which):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "UnicodeDecodeError"
+
+
+# JSON that parses by the grammar but not in Python; written as raw text, since
+# json.dumps cannot write the integer either. A capture header's blob is a
+# MALFORMED row.
+@pytest.mark.parametrize(
+    "text", ["1" + "0" * 5000, "[" * 100000], ids=["int_of_5001_digits", "nested_100000_deep"])
+@pytest.mark.parametrize("which", ["config", "scene"])
+def test_cli_json_python_cannot_hold_is_one_json_line(tmp_path, capsys, which, text):
+    paths = {"config": tmp_path / "pipeline.json", "scene": tmp_path / "scene.json"}
+    paths["config"].write_text(json.dumps(pipeline_dict()), encoding="utf-8")
+    paths["scene"].write_text(json.dumps(scene_dict(n_frames=1)), encoding="utf-8")
+    paths[which].write_text(text, encoding="utf-8")
+    argv = ["simulate", "--config", str(paths["config"]), "--scene", str(paths["scene"]),
+            "--out", str(tmp_path / "c.orad")]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert str(paths[which]) in err["message"]

@@ -392,7 +392,7 @@ def test_cli_process_rejects_mismatched_radar_config(tmp_path, capsys):
     main(["simulate", "--config", str(cfg_path), "--scene", str(scene_path),
           "--out", str(capture_path)])
     other = pipeline_dict()
-    other["radar"]["num_rx"] = 2
+    other["radar"]["chirp_period_s"] = 70e-6  # loads, but is not the capture's radar
     other_path = tmp_path / "other.json"
     _write_json(other_path, other)
     code = main(["process", "--config", str(other_path), "--in", str(capture_path),
@@ -401,6 +401,7 @@ def test_cli_process_rejects_mismatched_radar_config(tmp_path, capsys):
     assert code == 1
     err = json.loads(captured.err.strip())
     assert err["error"] == "ConfigError"
+    assert "does not match" in err["message"]
 
 
 def test_cli_errors_are_single_line_json(tmp_path, capsys):
