@@ -427,7 +427,7 @@ def _peaks(
 
 def estimate_angles(
     plan: AoaPlan,
-    rd_cube: RangeDopplerCube,
+    data: np.ndarray,
     doppler_bins: Sequence[int],
     range_bins: Sequence[int],
     method: AoaMethod,
@@ -439,28 +439,30 @@ def estimate_angles(
 ) -> list[list[tuple[float, float]]]:
     """``peak_angles`` of every detection of one frame, strongest first.
 
-    Detection i is the cell at centered ``doppler_bins[i]``, ``range_bins[i]``
-    of the uncompensated ``rd_cube``; its snapshots are TDM-compensated as
-    they are gathered. FFT takes that cell's row; the covariance methods take
-    the whole range column, one (detection, element, element) stack for the
-    frame. Results equal a per-detection loop over ``doppler_compensate``,
+    ``data`` is the uncompensated (doppler, virtual_rx, range) cube with its
+    Doppler axis in FFT order, as the Doppler FFT leaves it. Detection i is
+    the cell at centered ``doppler_bins[i]`` (row b mod N_c), ``range_bins[i]``;
+    its snapshots are TDM-compensated as they are gathered. FFT takes that
+    cell's row; the covariance methods take the whole range column in
+    centered order, one (detection, element, element) stack for the frame.
+    Results equal a per-detection loop over ``doppler_compensate``,
     ``covariance`` (loaded by ``capon_loading`` under Capon only), the named
     estimator and ``peak_angles`` (``music`` with ``estimate_source_count``
-    clipped to [1, elements - 1] if ``music_n_sources`` is None). ``plan``
-    must have a grid unless ``method`` is FFT.
+    clipped to [1, elements - 1] if ``music_n_sources`` is None) on the
+    centered cube. ``plan`` must have a grid unless ``method`` is FFT.
     """
     if not len(range_bins):
         return []
-    rows = np.asarray(doppler_bins) + rd_cube.num_doppler_bins // 2
+    bins = np.asarray(doppler_bins)
     cols = np.asarray(range_bins)
     phase = plan.tdm_phase
     if method is AoaMethod.FFT:
-        x = rd_cube.data[rows, :, cols]
+        x = data[bins % len(data), :, cols]
         if phase is not None:
-            x = x * phase[rows]
+            x = x * phase[bins + len(data) // 2]
         angles, powers = _fft_spectra(x, plan.array, fft_bins)
         return _peaks(angles, powers, max_peaks)
-    x = rd_cube.data[:, :, cols]
+    x = np.fft.fftshift(data[:, :, cols], axes=0)
     if phase is not None:
         x = x * phase[:, :, np.newaxis]
     loading = capon_loading if method is AoaMethod.CAPON else 0.0

@@ -125,7 +125,8 @@ class PacketReassembler:
     lossless order, the last position any seq of the gap can take, and
     arrivals keep that order. Earlier losses do not move the rule, nor does
     a stray seq far ahead of the stream once it has arrived. ``flush`` gives
-    every gap up, ``flush_quiet`` those of at most 2 * window seqs.
+    every gap up, ``flush_quiet`` those of at most 2 * window seqs. A packet
+    is reordered if a seq above it, at most 2 * window past next_seq, came first.
 
     Late arrivals of already-emitted or already-dropped seqs are ignored and
     not counted, which keeps packets_received + packets_dropped equal to
@@ -166,7 +167,8 @@ class PacketReassembler:
             return out
         if seq < self._max_seq:
             self._reordered += 1
-        self._max_seq = max(self._max_seq, seq)
+        if seq - self._next_seq <= 2 * self.window:
+            self._max_seq = max(self._max_seq, seq)
         self._pending[seq] = packet
         self._received += 1
         self._drain_in_order(out)

@@ -9,6 +9,7 @@ that count, so the rate stays calibrated at the profile ends too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -169,15 +170,21 @@ def log_gabor_filter(
     m = np.asarray(map_values, dtype=np.float64)
     if m.ndim != 2:
         raise ParamError(f"expected a 2-d map, got {m.ndim}-d")
-    fy = np.fft.fftfreq(m.shape[0])[:, np.newaxis]
-    fx = np.fft.fftfreq(m.shape[1])[np.newaxis, :]
-    radial = np.hypot(fy, fx)
+    transfer = _log_gabor_transfer(m.shape, f0_cycles, sigma_ratio)
+    return np.fft.ifft2(np.fft.fft2(m) * transfer).real
+
+
+@functools.cache
+def _log_gabor_transfer(shape: tuple, f0_cycles: float, sigma_ratio: float) -> np.ndarray:
+    """``log_gabor_filter``'s G(f) on a ``shape`` map, read-only, shared by every frame."""
+    radial = np.hypot(np.fft.fftfreq(shape[0])[:, np.newaxis], np.fft.fftfreq(shape[1]))
     with np.errstate(divide="ignore"):
         transfer = np.exp(
             -np.log(radial / f0_cycles) ** 2 / (2.0 * math.log(sigma_ratio) ** 2)
         )
     transfer[radial == 0.0] = 0.0
-    return np.fft.ifft2(np.fft.fft2(m) * transfer).real
+    transfer.setflags(write=False)
+    return transfer
 
 
 def group_peaks(

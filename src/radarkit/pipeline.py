@@ -11,21 +11,18 @@ stage's wall time and reports any stage failure as ``PipelineError``.
 Everything is deterministic given the input frames, so runs reproduce
 byte-identically regardless of worker count.
 
-The range FFT, Doppler FFT and power map run in two work buffers of the
-calling thread: the cube buffer, the size of one frame's complex samples
-(4 MiB for a 2 TX, 4 RX, 128-chirp, 256-sample frame), and a scratch of
-ceil(N_c/2) Doppler rows, about half that, so 1.5 cubes per thread that
-processes frames. The frame's (I, Q) pairs, int16 from a capture, are cast
-into the cube buffer, windowed and FFT'd along range there, then windowed,
-FFT'd and shifted along Doppler in place; the shift parks the first
-ceil(N_c/2) rows in the scratch, and the power map then takes the scratch
-for the per-antenna |z|^2. The buffers are allocated on the thread's first
-frame, reused by every later frame of the same size and freed with the
-thread; ``iter_pipeline`` keeps one pool of threads for a whole run, so a
-run allocates them once per thread. The windows are read-only arrays built
-once per window kind and length. A frame's range-Doppler cube is a view of
-its thread's cube buffer and is valid only until that thread's next frame;
-nothing in a ``FrameResult`` refers to the buffers.
+The range FFT, Doppler FFT and power map run in two buffers of the calling
+thread: a complex cube the size of one frame's samples (4 MiB for a 2 TX,
+4 RX, 128-chirp, 256-sample frame) and a float64 |z|^2 cube half that, 1.5
+cubes in all. The frame's (I, Q) pairs, int16 from a capture, are cast into
+the complex cube, then windowed and FFT'd along range and along Doppler in
+place. The Doppler rows stay in FFT order (row b mod N_c holds bin b), which
+angle estimation reads; only the accumulated (Doppler, range) power map is
+shifted to the centered order that CFAR and the outputs see. The buffers are
+allocated on a thread's first frame, reused by its later frames of the same
+shape and freed with the thread; ``iter_pipeline`` keeps one pool of threads
+for a whole run. Windows are read-only arrays built once per kind and
+length. Nothing in a ``FrameResult`` refers to the buffers.
 """
 
 from __future__ import annotations
@@ -69,8 +66,8 @@ from .detect import (
 from .rangedoppler import (
     Accumulation,
     WindowKind,
-    accumulate_power,
-    doppler_processing,
+    _accumulate,
+    _doppler_fft,
     range_processing,
     to_db,
     write_power_map_csv,
@@ -216,13 +213,12 @@ class FrameResult:
 _thread = threading.local()
 
 
-def _workspace(cube_size: int, scratch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's flat complex128 cube buffer of ``cube_size`` elements and
-    shift/|z|^2 scratch of ``scratch_size``; replaced only when a frame of
-    other sizes arrives."""
+def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's complex128 cube buffer and float64 |z|^2 buffer of
+    ``shape``; replaced only when a frame of another shape arrives."""
     buffers = getattr(_thread, "workspace", None)
-    if buffers is None or (buffers[0].size, buffers[1].size) != (cube_size, scratch_size):
-        buffers = (np.empty(cube_size, np.complex128), np.empty(scratch_size, np.complex128))
+    if buffers is None or buffers[0].shape != shape:
+        buffers = (np.empty(shape, np.complex128), np.empty(shape))
         _thread.workspace = buffers
     return buffers
 
@@ -238,18 +234,15 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     """
     marks = [time.perf_counter()]
     try:
-        radar = cfg.radar
-        n_slow = radar.chirps_per_frame_per_tx
-        cube_size = n_slow * radar.num_tx * radar.num_rx * radar.samples_per_chirp
-        # The range cube becomes the range-Doppler cube in place; the scratch
-        # holds the first ceil(N_c/2) Doppler rows for the shift, then |z|^2.
-        buf, scratch = _workspace(cube_size, cube_size // n_slow * (n_slow - n_slow // 2))
-        range_cube = range_processing(cube, cfg.range_window, out=buf.reshape(cube.shape))
+        # The range cube becomes the range-Doppler cube in place, Doppler in
+        # FFT order; only the power map is shifted to centered order.
+        buf, power = _workspace(cube.shape)
+        range_cube = range_processing(cube, cfg.range_window, out=buf)
         marks.append(time.perf_counter())
-        rd = doppler_processing(range_cube, radar, cfg.doppler_window, work=scratch)
+        rd = _doppler_fft(range_cube, cfg.radar, cfg.doppler_window)
         marks.append(time.perf_counter())
-        power = scratch.view(np.float64)[:cube_size].reshape(rd.data.shape)
-        linear = accumulate_power(rd, cfg.accumulation, work=power)
+        linear = np.fft.fftshift(_accumulate(rd, cfg.accumulation, power.reshape(rd.shape)),
+                                 axes=0)
         map_db = to_db(linear)
         if cfg.log_gabor.enabled:
             map_db = log_gabor_filter(map_db, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio)
@@ -257,7 +250,7 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
         marks.append(time.perf_counter())
         cells = cfar_2d(linear, cfg.range_cfar, cfg.doppler_cfar)
         marks.append(time.perf_counter())
-        detections = group_peaks(cells, cfg.connectivity, doppler_bins=n_slow)
+        detections = group_peaks(cells, cfg.connectivity, doppler_bins=len(linear))
         marks.append(time.perf_counter())
         angle_lists = estimate_angles(
             cfg.aoa_plan,

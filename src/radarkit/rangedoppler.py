@@ -131,72 +131,63 @@ class RangeDopplerCube:
         return np.arange(n) - n // 2
 
 
+def _doppler_fft(cube: np.ndarray, cfg: RadarConfig, window_kind: WindowKind) -> np.ndarray:
+    """``doppler_processing`` in place in the range cube ``cube``, a writable
+    C-contiguous complex128 array, with the Doppler axis in FFT order: row
+    b mod N_c holds bin b. Returns the (slow_time, virtual_rx, range) view."""
+    if cube.ndim != 3:
+        raise ShapeError(f"expected a 3-d (chirp, rx, range) array, got {cube.ndim}-d")
+    n_chirps, n_rx, n_range = cube.shape
+    if n_rx != cfg.num_rx:
+        raise ShapeError(f"rx axis has {n_rx} elements, config says {cfg.num_rx}")
+    m = cfg.num_tx
+    if n_chirps % m != 0:
+        raise ShapeError(f"chirp count {n_chirps} not divisible by num_tx {m}")
+    n_slow = n_chirps // m
+    # (slow, tx * rx, range): chirp q = slow * M + tx by the interleave order.
+    spectrum = cube.reshape(n_slow, m * n_rx, n_range)
+    w = _shared_window(window_kind, n_slow)[:, np.newaxis, np.newaxis]
+    np.multiply(spectrum, w, out=spectrum)
+    return np.fft.fft(spectrum, axis=0, out=spectrum)
+
+
 def doppler_processing(
     range_cube: np.ndarray,
     cfg: RadarConfig,
     window_kind: WindowKind = WindowKind.RECTANGULAR,
-    *,
-    work: np.ndarray | None = None,
 ) -> RangeDopplerCube:
     """Regroup TX-interleaved chirps into virtual receivers and FFT slow time.
 
     The chirp axis (TX-major interleave: chirp q fired by TX q mod M) is
     reshaped to (slow_time, virtual_rx = tx * num_rx + rx), windowed and
     FFT'd along slow time, then center-shifted so bin N_c/2 is zero Doppler.
-
-    Without ``work`` the cube holds a new array and ``range_cube`` is left
-    unchanged. With it the stage runs in place: the window, the FFT and the
-    shift overwrite ``range_cube`` (a writable C-contiguous complex128
-    array), and the returned cube is a read-only view of it. ``work`` is the
-    shift's scratch, a complex128 array of at least ceil(N_c/2) * virtual_rx
-    * range elements, and its content is left undefined.
+    The stage runs on a copy: ``range_cube`` is left unchanged.
     """
-    arr = np.asarray(range_cube)
-    if arr.ndim != 3:
-        raise ShapeError(f"expected a 3-d (chirp, rx, range) array, got {arr.ndim}-d")
-    n_chirps, n_rx, n_range = arr.shape
-    if n_rx != cfg.num_rx:
-        raise ShapeError(f"rx axis has {n_rx} elements, config says {cfg.num_rx}")
-    m = cfg.num_tx
-    if n_chirps % m != 0:
-        raise ShapeError(
-            f"chirp count {n_chirps} not divisible by num_tx {m}"
-        )
-    n_slow = n_chirps // m
-    # (slow, tx, rx, range): chirp q = slow * M + tx by the interleave order.
-    regrouped = arr.reshape(n_slow, m, n_rx, n_range)
-    regrouped = regrouped.reshape(n_slow, m * n_rx, n_range)
-    w = _shared_window(window_kind, n_slow)[:, np.newaxis, np.newaxis]
-    spectrum = np.multiply(regrouped, w, out=None if work is None else regrouped)
-    np.fft.fft(spectrum, axis=0, out=spectrum)
-    # np.fft.fftshift(spectrum, axes=0): the first ceil(N/2) rows go last.
-    half = n_slow - n_slow // 2
-    top = spectrum[:half]
-    head = np.empty_like(top) if work is None else work[:top.size].reshape(top.shape)
-    head[...] = top
-    spectrum[:n_slow // 2] = spectrum[half:]  # never overlaps: n_slow // 2 <= half
-    spectrum[n_slow // 2:] = head
-    return RangeDopplerCube(data=spectrum, config=cfg)
+    spectrum = _doppler_fft(np.array(range_cube, np.complex128), cfg, window_kind)
+    return RangeDopplerCube(data=np.fft.fftshift(spectrum, axes=0), config=cfg)
+
+
+def _accumulate(data: np.ndarray, accumulation: Accumulation, work=None) -> np.ndarray:
+    """``accumulate_power`` of (doppler, virtual_rx, range) ``data``, row by row,
+    so in whatever order its Doppler rows come. ``work``, a float64 array of
+    ``data``'s shape, holds the per-antenna |z|^2 of noncoherent_sum."""
+    if accumulation is Accumulation.NONCOHERENT_SUM:
+        power = np.abs(data, out=work)
+        return np.sum(np.square(power, out=power), axis=1)
+    if accumulation is Accumulation.COHERENT_SUM:
+        return np.abs(np.sum(data, axis=1)) ** 2
+    raise ValueError(f"unknown accumulation {accumulation!r}")
 
 
 def accumulate_power(
     rd_cube: RangeDopplerCube,
     accumulation: Accumulation = Accumulation.NONCOHERENT_SUM,
-    *,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Linear-power (doppler, range) map accumulated across virtual receivers.
 
     noncoherent_sum adds per-antenna |z|^2; coherent_sum takes |sum z|^2.
-    ``work``, a float64 array shaped like ``rd_cube.data``, holds the
-    per-antenna |z|^2 of noncoherent_sum; without it that is a new array.
     """
-    if accumulation is Accumulation.NONCOHERENT_SUM:
-        power = np.abs(rd_cube.data, out=work)
-        return np.sum(np.square(power, out=power), axis=1)
-    if accumulation is Accumulation.COHERENT_SUM:
-        return np.abs(np.sum(rd_cube.data, axis=1)) ** 2
-    raise ValueError(f"unknown accumulation {accumulation!r}")
+    return _accumulate(rd_cube.data, accumulation)
 
 
 def to_db(power_linear: np.ndarray) -> np.ndarray:

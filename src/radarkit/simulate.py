@@ -52,6 +52,7 @@ from .capture import (
 from .core import (
     SPEED_OF_LIGHT,
     WIRE_DTYPE,
+    ConfigError,
     DataCube,
     RadarConfig,
     RadarError,
@@ -173,8 +174,8 @@ def synthesize_frame(
     )
     if out is None:
         out = np.empty(shape, np.complex128)
-    # Finite targets can still sum past the float64 range; that is checked
-    # once below, so numpy's warnings would only repeat it.
+    # Finite targets can still sum past the float64 range; the DataCube's
+    # NaN/Inf scan below checks that once, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(weights.reshape(n_chirps * cfg.num_rx, n_targets), fast,
                   out=out.reshape(n_chirps * cfg.num_rx, cfg.samples_per_chirp))
@@ -187,9 +188,12 @@ def synthesize_frame(
                 rng.standard_normal(out=work)
                 work *= sigma
                 part += work
-    if not np.isfinite(out.view(np.float64)).all():
-        raise SimError(f"frame {frame_index}: the targets' samples overflow float64")
-    return DataCube(data=out, frame_index=frame_index, config=cfg)
+    try:
+        return DataCube(data=out, frame_index=frame_index, config=cfg)
+    except ConfigError:  # rescanned only on failure, to tell an overflow from other errors
+        if np.isfinite(out.view(np.float64)).all():
+            raise
+        raise SimError(f"frame {frame_index}: the targets' samples overflow float64") from None
 
 
 def _frames_by_index(

@@ -171,6 +171,7 @@ def test_a_stray_seq_does_not_move_the_loss_deadline():
     assert out == b"".join(p.payload for p in pkts)
     assert r.report.packets_dropped == 0
     assert r.report.bytes_zero_filled == 0
+    assert r.report.reordered_count == 7
 
 
 def test_absurd_byte_offset_is_a_transport_error():

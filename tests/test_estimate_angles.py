@@ -18,6 +18,7 @@ from radarkit import (
     capon,
     covariance,
     default_angle_grid,
+    derived_params,
     doppler_compensate,
     estimate_source_count,
     music,
@@ -37,6 +38,7 @@ from conftest import C0
 from test_pipeline import c0_dict
 
 C0_1TX = dataclasses.replace(C0, num_tx=1, tx_spacing_wavelengths=None)
+C0_ODD = dataclasses.replace(C0, chirps_per_frame_per_tx=127)
 NOISE_POWER = 1000.0
 
 
@@ -90,7 +92,21 @@ def frames():
         "c0_40_targets": synthesize_frame(C0, _targets(rng, 40), NoiseSpec(NOISE_POWER, 5)),
         "one_tx": synthesize_frame(C0_1TX, _targets(rng, 8), NoiseSpec(NOISE_POWER, 6)),
         "no_detections": synthesize_frame(C0, []),
+        "odd_doppler_edges": synthesize_frame(
+            C0_ODD, _targets(rng, 8) + _edge_targets(C0_ODD), NoiseSpec(NOISE_POWER, 7)
+        ),
     }
+
+
+def _edge_targets(cfg):
+    """One target on each edge Doppler row: centered bins -(N_c // 2) and (N_c - 1) // 2."""
+    n = cfg.chirps_per_frame_per_tx
+    resolution = derived_params(cfg).velocity_resolution_m_s
+    return [
+        PointTarget(range_m=(60 + 10 * i) * 0.1953125, radial_velocity_m_s=b * resolution,
+                    azimuth_deg=azimuth, amplitude=800.0)
+        for i, (b, azimuth) in enumerate([(-(n // 2), -25.0), ((n - 1) // 2, 35.0)])
+    ]
 
 
 METHODS = {
@@ -102,7 +118,8 @@ METHODS = {
 }
 
 
-@pytest.mark.parametrize("frame", ["c0_40_targets", "one_tx", "no_detections"])
+@pytest.mark.parametrize("frame", ["c0_40_targets", "one_tx", "no_detections",
+                                   "odd_doppler_edges"])
 @pytest.mark.parametrize("max_angles", [1, 2])
 @pytest.mark.parametrize("method", list(METHODS))
 def test_batched_angles_equal_per_detection_loop(frames, frame, max_angles, method):
@@ -119,7 +136,7 @@ def test_batched_angles_equal_per_detection_loop(frames, frame, max_angles, meth
     assert (len(detections) >= 8) == (frame != "no_detections")
     expected = reference_angles(cfg, rd, detections)
     batched = estimate_angles(
-        cfg.aoa_plan, rd, [d.doppler_bin for d in detections],
+        cfg.aoa_plan, np.fft.ifftshift(rd.data, axes=0), [d.doppler_bin for d in detections],
         [d.range_bin for d in detections], cfg.aoa_method,
         fft_bins=cfg.aoa_fft_bins, music_n_sources=cfg.music_n_sources,
         capon_loading=cfg.capon_loading, max_peaks=max_angles,

@@ -120,8 +120,9 @@ def test_one_element_array_scans_flat_spectra():
         assert np.allclose(flat, r[:, :, 0].real, rtol=1e-12)  # 1x1: R^-1 = 1 / R
         # A flat spectrum has no strict maximum: the detections get no angles.
         assert estimate_angles(
-            cfg.aoa_plan, rd, [8, 8], [51, 52], method, fft_bins=cfg.aoa_fft_bins,
-            music_n_sources=None, capon_loading=cfg.capon_loading, max_peaks=1,
+            cfg.aoa_plan, np.fft.ifftshift(rd.data, axes=0), [8, 8], [51, 52], method,
+            fft_bins=cfg.aoa_fft_bins, music_n_sources=None,
+            capon_loading=cfg.capon_loading, max_peaks=1,
         ) == [[], []]
 
 

@@ -322,9 +322,11 @@ def test_wire_and_complex_cubes_give_the_reference_front_end(
     clouds = []
     for cube in (complex_cube, wire_cube):
         result = process_frame(cfg, cube)
-        # The range-Doppler cube stays in this thread's cube buffer until its next frame.
+        # The range-Doppler cube stays in this thread's cube buffer, in FFT
+        # order along Doppler, until its next frame.
         rd = radarkit.pipeline._thread.workspace[0].reshape(rd_ref.shape)
-        assert rd.tobytes() == rd_ref.tobytes()  # bit for bit, signed zeros included
+        # Bit for bit, signed zeros included.
+        assert rd.tobytes() == np.fft.ifftshift(rd_ref, axes=0).tobytes()
         assert result.power_map_db.tobytes() == map_ref.tobytes()
         clouds.append(result.point_cloud)
     assert clouds[0] == clouds[1]
