@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, RadarConfig, RadarError, bin_to_range, bin_to_velocity
+from .core import (
+    ConfigError,
+    RadarConfig,
+    RadarError,
+    bin_to_range,
+    bin_to_velocity,
+    readonly_view,
+)
 
 
 class WindowError(RadarError):
@@ -62,40 +70,93 @@ def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
     return a[(slice(None),) * axis + (slice(start, stop),)]
 
 
-def _training_sums(x: np.ndarray, params: CfarParams, axis: int):
+_thread = threading.local()
+
+
+def _cfar_buffers(shape: tuple[int, ...], scratch_size: int):
+    """This thread's CFAR arrays for a ``shape`` map: (mask, thresholds,
+    noise) for axis 0 and for axis 1, and ``scratch_size`` float64 elements
+    for the padded cumulative sums; replaced only when a map of another shape
+    or a window of another size arrives."""
+    buffers = getattr(_thread, "cfar", None)
+    if buffers is None or buffers[0][0].shape != shape or buffers[2].size != scratch_size:
+        buffers = _thread.cfar = (
+            (np.empty(shape, bool), np.empty(shape), np.empty(shape)),
+            (np.empty(shape, bool), np.empty(shape), np.empty(shape)),
+            np.empty(scratch_size),
+        )
+    return buffers
+
+
+def _padded_shape(shape: tuple[int, ...], params: CfarParams, axis: int) -> list[int]:
+    """``shape`` with ``axis`` padded as ``_training_sums`` pads it: a leading
+    zero and guard + train cells at each end. The window must fit the axis."""
+    n, pad = shape[axis], params.guard_cells + params.train_cells
+    if 2 * pad >= n:
+        raise WindowError(f"CFAR window 2*(guard+train)={2 * pad} does not fit axis of {n}")
+    padded = list(shape)
+    padded[axis] = n + 2 * pad + 1
+    return padded
+
+
+def _training_sums(x: np.ndarray, params: CfarParams, axis: int, out=None, work=None,
+                   scratch=None):
     """Sum of the training cells on both sides of every cell along ``axis``.
 
-    One cumulative sum over the axis padded by guard + train cells at each end:
-    the far end of the axis (circular) or zeros (linear: edges sum what exists).
+    One cumulative sum over the axis padded by guard + train cells at each
+    end: the far end of the axis (circular) or zeros (linear: edges sum what
+    exists). It runs in ``scratch``, a flat float64 array at least the size
+    of the padded ``x``, or a new array. The sum of the cells to the left
+    goes to ``out``, the right to ``work`` (arrays shaped like ``x``, new if
+    None), and ``out`` returns their sum.
     """
     g, t = params.guard_cells, params.train_cells
     n, pad = x.shape[axis], g + t
+    shape = _padded_shape(x.shape, params, axis)
+    size = math.prod(shape)
+    s = (np.empty(size) if scratch is None else scratch[:size]).reshape(shape)
+    _along(s, axis, 0, 1).fill(0.0)
     if params.circular:
-        before, after = _along(x, axis, n - pad, n), _along(x, axis, 0, pad)
+        np.copyto(_along(s, axis, 1, pad + 1), _along(x, axis, n - pad, n))
+        np.copyto(_along(s, axis, n + pad + 1, n + 2 * pad + 1), _along(x, axis, 0, pad))
     else:
-        before = after = np.zeros_like(_along(x, axis, 0, pad))
-    zero = np.zeros_like(_along(x, axis, 0, 1))
-    s = np.cumsum(np.concatenate([zero, before, x, after], axis=axis), axis=axis)
-    left = _along(s, axis, t, n + t) - _along(s, axis, 0, n)
-    right = (_along(s, axis, 2 * pad + 1, n + 2 * pad + 1)
-             - _along(s, axis, pad + g + 1, n + pad + g + 1))
-    return left + right
+        _along(s, axis, 1, pad + 1).fill(0.0)
+        _along(s, axis, n + pad + 1, n + 2 * pad + 1).fill(0.0)
+    np.copyto(_along(s, axis, pad + 1, n + pad + 1), x)
+    np.cumsum(s, axis=axis, out=s)
+    left = np.subtract(_along(s, axis, t, n + t), _along(s, axis, 0, n), out=out)
+    right = np.subtract(_along(s, axis, 2 * pad + 1, n + 2 * pad + 1),
+                        _along(s, axis, pad + g + 1, n + pad + g + 1), out=work)
+    return np.add(left, right, out=left)
 
 
-def _cfar(m: np.ndarray, params: CfarParams, axis: int):
+@functools.cache
+def _cfar_plan(shape: tuple[int, ...], params: CfarParams, axis: int):
+    """Read-only training count and ``cfar_alpha`` of every cell along ``axis``
+    of a ``shape`` map, shaped to broadcast against it; built once per key."""
+    n = shape[axis]
+    ones = np.ones([n if a == axis else 1 for a in range(len(shape))])
+    counts = _training_sums(ones, params, axis)
+    return readonly_view(counts), readonly_view(cfar_alpha(params.pfa, counts))
+
+
+def _cfar(m: np.ndarray, params: CfarParams, axis: int, out=None, scratch=None):
     """CA-CFAR of every cell of ``m`` along ``axis``.
 
-    Returns (mask, thresholds, noise_estimates), all shaped like ``m``. The
-    training count of each cell is the same window sum over ones.
+    Returns (mask, thresholds, noise_estimates), all shaped like ``m``: the
+    bool and two float64 arrays of ``out`` if given, else new ones.
+    ``scratch`` is ``_training_sums``'. The training count of each cell is
+    the same window sum over ones.
     """
-    n, pad = m.shape[axis], params.guard_cells + params.train_cells
-    if 2 * pad >= n:
-        raise WindowError(f"CFAR window 2*(guard+train)={2 * pad} does not fit axis of {n}")
-    ones = np.ones([n if a == axis else 1 for a in range(m.ndim)])
-    counts = _training_sums(ones, params, axis)
-    noise = _training_sums(m, params, axis) / counts
-    thresholds = cfar_alpha(params.pfa, counts) * noise
-    return m > thresholds, thresholds, noise
+    if out is None:
+        out = np.empty(m.shape, bool), np.empty(m.shape), np.empty(m.shape)
+    mask, thresholds, noise = out
+    counts, alpha = _cfar_plan(m.shape, params, axis)
+    _training_sums(m, params, axis, out=noise, work=thresholds, scratch=scratch)
+    noise /= counts
+    np.multiply(alpha, noise, out=thresholds)
+    np.greater(m, thresholds, out=mask)
+    return mask, thresholds, noise
 
 
 def ca_cfar_1d(profile: np.ndarray, params: CfarParams):
@@ -133,13 +194,18 @@ def cfar_2d(
     power against the noise estimate behind it, inf if that estimate is 0.
     The AND composition is conservative: its false-alarm rate is below
     either axis's pfa on homogeneous noise. Detections are in row-major cell order.
+    The per-cell arrays live in this thread's buffers, reused by its later
+    calls on maps of the same shape; the returned detections refer to none.
     """
     m = np.asarray(map_linear, dtype=np.float64)
     if m.ndim != 2:
         raise WindowError(f"expected a 2-d map, got {m.ndim}-d")
-    mask_r, thr_r, noise_r = _cfar(m, range_params, axis=1)
-    mask_d, thr_d, noise_d = _cfar(m, doppler_params, axis=0)
-    rows, cols = np.nonzero(mask_r & mask_d)
+    scratch_size = max(math.prod(_padded_shape(m.shape, params, axis))
+                       for params, axis in ((range_params, 1), (doppler_params, 0)))
+    doppler_out, range_out, scratch = _cfar_buffers(m.shape, scratch_size)
+    mask_r, thr_r, noise_r = _cfar(m, range_params, 1, range_out, scratch)
+    mask_d, thr_d, noise_d = _cfar(m, doppler_params, 0, doppler_out, scratch)
+    rows, cols = np.nonzero(np.logical_and(mask_r, mask_d, out=mask_r))
     thr_r, thr_d = thr_r[rows, cols], thr_d[rows, cols]
     power = m[rows, cols]
     with np.errstate(divide="ignore"):

@@ -11,18 +11,22 @@ stage's wall time and reports any stage failure as ``PipelineError``.
 Everything is deterministic given the input frames, so runs reproduce
 byte-identically regardless of worker count.
 
-The range FFT, Doppler FFT and power map run in two buffers of the calling
+The range FFT, Doppler FFT and power map run in buffers of the calling
 thread: a complex cube the size of one frame's samples (4 MiB for a 2 TX,
-4 RX, 128-chirp, 256-sample frame) and a float64 |z|^2 cube half that, 1.5
-cubes in all. The frame's (I, Q) pairs, int16 from a capture, are cast into
-the complex cube, then windowed and FFT'd along range and along Doppler in
-place. The Doppler rows stay in FFT order (row b mod N_c holds bin b), which
-angle estimation reads; only the accumulated (Doppler, range) power map is
-shifted to the centered order that CFAR and the outputs see. The buffers are
-allocated on a thread's first frame, reused by its later frames of the same
-shape and freed with the thread; ``iter_pipeline`` keeps one pool of threads
-for a whole run. Windows are read-only arrays built once per kind and
-length. Nothing in a ``FrameResult`` refers to the buffers.
+4 RX, 128-chirp, 256-sample frame) and two float64 (Doppler, range) maps
+(256 KiB each). The frame's (I, Q) pairs, int16 from a capture, are cast
+into the complex cube, then windowed and FFT'd along range and along Doppler
+in place. The Doppler rows stay in FFT order (row b mod N_c holds bin b),
+which angle estimation reads. The power map is accumulated antenna by
+antenna into one map and copied to the centered order that CFAR and the
+outputs see into the other; CFAR runs in its own per-thread buffers. The
+buffers are allocated on a thread's first frame, reused by its later frames
+of the same shape and freed with the thread; ``iter_pipeline`` keeps one
+pool of threads for a whole run. Windows are read-only arrays built once per
+kind and length. After its first frame, a thread allocates nothing
+map-sized but the dB map of the ``FrameResult``, a new array on every frame
+since the writer encodes it while the next frame runs. Nothing in a
+``FrameResult`` refers to the buffers.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .rangedoppler import (
     Accumulation,
     WindowKind,
     _accumulate,
+    _center_rows,
     _doppler_fft,
     range_processing,
     to_db,
@@ -132,10 +137,6 @@ class PipelineConfig:
             (_window_fits(self.doppler_cfar, radar.chirps_per_frame_per_tx), "doppler_cfar",
              f"a window with 2*(guard_cells+train_cells) < chirps_per_frame_per_tx "
              f"({radar.chirps_per_frame_per_tx})"),
-            # On the plan the frames will use; uniform_spacing() is None below 2 elements.
-            (method is not AoaMethod.FFT or self.aoa_plan.array.uniform_spacing() is not None,
-             "aoa_method", "bartlett, capon or music unless the virtual array is "
-             "uniformly spaced with >= 2 elements (fft)"),
             (method is not AoaMethod.MUSIC or n_virtual >= 2,
              "aoa_method", "bartlett or capon on a 1-element virtual array"),
             (self.connectivity in (4, 8), "connectivity", "4 or 8"),
@@ -154,12 +155,19 @@ class PipelineConfig:
         ]:
             if not ok:
                 raise ConfigError(f"{name} must be {allowed}, got {getattr(self, name)!r}")
+        # On the plan the frames will use, built from the counts checked above;
+        # its spacing is None below 2 elements.
+        if method is AoaMethod.FFT and self.aoa_plan.spacing is None:
+            raise ConfigError("aoa_method must be bartlett, capon or music unless the "
+                              "virtual array is uniformly spaced with >= 2 elements (fft), "
+                              f"got {method!r}")
 
     @functools.cached_property
     def aoa_plan(self) -> AoaPlan:
         """Frame-invariant angle-estimation arrays, built on first use."""
-        grid_step = None if self.aoa_method is AoaMethod.FFT else self.aoa_grid_step_deg
-        return aoa_plan(self.radar, grid_step)
+        if self.aoa_method is AoaMethod.FFT:
+            return aoa_plan(self.radar, fft_bins=self.aoa_fft_bins)
+        return aoa_plan(self.radar, self.aoa_grid_step_deg)
 
     def to_jsonable(self) -> dict:
         return encode_jsonable(self)
@@ -213,12 +221,13 @@ class FrameResult:
 _thread = threading.local()
 
 
-def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's complex128 cube buffer and float64 |z|^2 buffer of
-    ``shape``; replaced only when a frame of another shape arrives."""
+def _workspace(shape: tuple[int, ...], map_shape: tuple[int, int]):
+    """This thread's work buffers: a complex128 cube of ``shape`` and two
+    float64 (Doppler, range) maps of ``map_shape``; replaced only when a
+    frame of another shape arrives."""
     buffers = getattr(_thread, "workspace", None)
-    if buffers is None or buffers[0].shape != shape:
-        buffers = (np.empty(shape, np.complex128), np.empty(shape))
+    if buffers is None or buffers[0].shape != shape or buffers[1].shape != map_shape:
+        buffers = (np.empty(shape, np.complex128), np.empty(map_shape), np.empty(map_shape))
         _thread.workspace = buffers
     return buffers
 
@@ -236,13 +245,16 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     try:
         # The range cube becomes the range-Doppler cube in place, Doppler in
         # FFT order; only the power map is shifted to centered order.
-        buf, power = _workspace(cube.shape)
+        map_shape = (cube.shape[0] // cfg.radar.num_tx, cube.shape[-1])
+        buf, fft_order, centered = _workspace(cube.shape, map_shape)
         range_cube = range_processing(cube, cfg.range_window, out=buf)
         marks.append(time.perf_counter())
         rd = _doppler_fft(range_cube, cfg.radar, cfg.doppler_window)
         marks.append(time.perf_counter())
-        linear = np.fft.fftshift(_accumulate(rd, cfg.accumulation, power.reshape(rd.shape)),
-                                 axes=0)
+        # The map is accumulated in FFT order; centered's rows first hold
+        # one antenna's |z|^2, then the centered map.
+        _accumulate(rd, cfg.accumulation, out=fft_order, work=centered)
+        linear = _center_rows(fft_order, out=centered)
         map_db = to_db(linear)
         if cfg.log_gabor.enabled:
             map_db = log_gabor_filter(map_db, cfg.log_gabor.f0_cycles, cfg.log_gabor.sigma_ratio)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -233,6 +235,55 @@ def _reference_cfar_2d(m, range_params, doppler_params):
             )
         )
     return detections
+
+
+def test_cfar_buffers_are_per_thread_and_follow_the_map_shape():
+    # Three threads run CFAR at once on maps of different shapes and params,
+    # each switching shapes between calls; every result must be the
+    # reference loop's, so no thread sees another's buffers or a stale shape.
+    rng = np.random.default_rng(5)
+    cases = [
+        (10.0 ** rng.uniform(0, 6, (64, 96)),
+         CfarParams(2, 8, 1e-3), CfarParams(1, 4, 1e-2, circular=True)),
+        (10.0 ** rng.uniform(0, 6, (40, 200)),
+         CfarParams(0, 3, 1e-2, circular=True), CfarParams(3, 5, 1e-4)),
+        (10.0 ** rng.uniform(0, 6, (128, 256)), CfarParams(), CfarParams(circular=True)),
+    ]
+    want = [_reference_cfar_2d(*case) for case in cases]
+    want_1d = [_reference_cfar_rows(m[3], params)[:2] for m, params, _ in cases]
+    failures = []
+    orders = ([0, 2], [1, 2, 0], [2, 1])
+    barrier = threading.Barrier(len(orders))
+
+    def run(order):
+        try:
+            barrier.wait(timeout=60)
+            for _ in range(10):
+                for i in order:
+                    m, range_params, doppler_params = cases[i]
+                    if cfar_2d(m, range_params, doppler_params) != want[i]:
+                        failures.append(("cfar_2d", i))
+                    got = ca_cfar_1d(m[3], range_params)
+                    again = ca_cfar_1d(m[3], range_params)
+                    if not all(np.array_equal(g, w) for g, w in zip(got, want_1d[i])):
+                        failures.append(("ca_cfar_1d", i))
+                    if any(np.shares_memory(g, a) for g, a in zip(got, again)):
+                        failures.append(("ca_cfar_1d shares its result", i))
+        except Exception as e:  # reported by the assertion below
+            failures.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 @st.composite

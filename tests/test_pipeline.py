@@ -32,6 +32,7 @@ from radarkit import (
     window,
 )
 import radarkit.cli
+import radarkit.detect
 import radarkit.pipeline
 from radarkit.capture import (
     CaptureListener,
@@ -288,6 +289,36 @@ def test_front_end_buffers_total_at_most_one_and_a_half_cubes(c0):
     process_frame(cfg, frames[1])
     held = sum(b.nbytes for b in radarkit.pipeline._thread.workspace)
     assert held <= 1.5 * frames[1].data.nbytes
+
+
+def test_process_frame_traces_under_two_db_maps_after_warm_up(c0):
+    cfg = PipelineConfig(radar=c0)  # FFT angles
+    frames = _one_target_frames(2)
+    process_frame(cfg, frames[0])  # allocates this thread's buffers and the CFAR plans
+    tracemalloc.start()
+    try:
+        result = process_frame(cfg, frames[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The dB map handed to the writer is the one map-sized allocation.
+    assert peak < 2 * result.power_map_db.nbytes  # 512 KiB on C0
+
+
+def test_workspace_holds_one_cube_and_map_buffers(c0):
+    cfg = PipelineConfig(radar=c0)
+    frames = _one_target_frames(2)
+    for cube in frames:
+        result = process_frame(cfg, cube)
+    cube_bytes, map_bytes = frames[1].data.nbytes, result.power_map_db.nbytes
+    workspace = sum(b.nbytes for b in radarkit.pipeline._thread.workspace)
+    assert workspace <= cube_bytes + 4 * map_bytes
+    # The map buffers, CFAR's included, total less than a float64 cube (half
+    # a complex cube): the power map is not accumulated through a |z|^2 cube.
+    doppler_axis, range_axis, scratch = radarkit.detect._thread.cfar
+    held = workspace - cube_bytes + scratch.nbytes
+    held += sum(a.nbytes for a in doppler_axis + range_axis)
+    assert held < cube_bytes / 2
 
 
 @settings(max_examples=30, deadline=None)
