@@ -22,6 +22,7 @@ stack of one, so both give the same numbers.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,10 +145,7 @@ class AoaPlan:
     ``pair_lag`` maps each pair j < l (``np.triu_indices`` order) to the row
     of its lag p_l - p_j in ``phasors``, the (cos/sin, lag, angle) table of
     2 pi lag sin(theta); all three are None without a grid (FFT). A plan
-    without a grid holds the array's ``uniform_spacing()`` in ``spacing`` and,
-    for an FFT of ``len(fft_visible)`` bins, the mask of the centered bins
-    with |sin(theta)| < 1 in ``fft_visible`` and their angles in
-    ``fft_angles_deg`` (both None without FFT bins or a uniform array).
+    without a grid holds the array's ``uniform_spacing()`` in ``spacing``.
     Arrays are read-only, so frames on different threads share one plan.
     """
 
@@ -157,34 +155,24 @@ class AoaPlan:
     pair_lag: np.ndarray | None = None
     phasors: np.ndarray | None = None
     spacing: float | None = None
-    fft_angles_deg: np.ndarray | None = None
-    fft_visible: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("tdm_phase", "grid_deg", "pair_lag", "phasors", "fft_angles_deg",
-                     "fft_visible"):
+        for name in ("tdm_phase", "grid_deg", "pair_lag", "phasors"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, readonly_view(value))
 
 
-def aoa_plan(
-    cfg: RadarConfig, grid_step_deg: float | None = None, fft_bins: int | None = None
-) -> AoaPlan:
-    """Build the plan for ``cfg``; without ``grid_step_deg``, no scan grid,
-    and with ``fft_bins`` on a uniform array, the bins of that FFT."""
+def aoa_plan(cfg: RadarConfig, grid_step_deg: float | None = None) -> AoaPlan:
+    """Build the plan for ``cfg``; without ``grid_step_deg``, no scan grid."""
     array = virtual_array(cfg)
     phase = None
     if cfg.num_tx > 1:
         n = cfg.chirps_per_frame_per_tx
         phase = _tdm_phase(cfg, np.arange(n) - n // 2, len(array))
-    if grid_step_deg is not None:
-        return _scan_plan(array, default_angle_grid(grid_step_deg), phase)
-    spacing = array.uniform_spacing()
-    angles = visible = None
-    if fft_bins is not None and spacing is not None:
-        angles, visible = _fft_axis(spacing, len(array), fft_bins)
-    return AoaPlan(array, phase, spacing=spacing, fft_angles_deg=angles, fft_visible=visible)
+    if grid_step_deg is None:
+        return AoaPlan(array, phase, spacing=array.uniform_spacing())
+    return _scan_plan(array, default_angle_grid(grid_step_deg), phase)
 
 
 def _scan_plan(array: VirtualArray, grid_deg, tdm_phase=None) -> AoaPlan:
@@ -321,39 +309,36 @@ def aoa_fft(snapshot: np.ndarray, array: VirtualArray, n_bins: int = 64) -> Angl
     spacing d in wavelengths; bins landing outside |sin| < 1 are discarded.
     """
     x = np.asarray(snapshot, dtype=np.complex128).reshape(-1)
-    angles, power = _fft_spectra(x[np.newaxis], array, n_bins)
+    angles, power = _fft_spectra(x[np.newaxis], array, array.uniform_spacing(), n_bins)
     return AngleSpectrum(angles_deg=angles, power=power[0])
 
 
-def _fft_axis(
-    spacing: float | None, n_elements: int, n_bins: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of the visible bins of an ``n_bins`` centered FFT across
-    ``n_elements`` spaced ``spacing`` wavelengths, and the mask picking them."""
-    if spacing is None:
-        raise GeometryError("aoa_fft requires a uniformly spaced array")
-    if n_bins < n_elements:
-        raise ValueError(f"n_bins {n_bins} < array length {n_elements}")
+@functools.cache
+def _fft_axis(spacing: float, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only angles of the visible bins of an ``n_bins`` centered FFT
+    across elements spaced ``spacing`` wavelengths, and the mask picking them."""
     centered = np.arange(n_bins) - n_bins // 2
     sin_theta = centered / (n_bins * spacing)
     visible = np.abs(sin_theta) < 1.0
-    return np.degrees(np.arcsin(sin_theta[visible])), visible
+    return readonly_view(np.degrees(np.arcsin(sin_theta[visible]))), readonly_view(visible)
 
 
 def _fft_spectra(
-    x: np.ndarray, array: VirtualArray, n_bins: int, bins=None
+    x: np.ndarray, array: VirtualArray, spacing: float | None, n_bins: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``aoa_fft`` of each row of (detection, element) snapshots: angles, powers.
 
-    ``bins`` is ``_fft_axis`` of ``array`` and ``n_bins``, built here if None.
+    ``spacing`` is ``array.uniform_spacing()``.
     """
+    if spacing is None:
+        raise GeometryError("aoa_fft requires a uniformly spaced array")
     if x.shape[-1] != len(array):
         raise GeometryError(
             f"snapshot has {x.shape[-1]} elements, array has {len(array)}"
         )
-    if bins is None:
-        bins = _fft_axis(array.uniform_spacing(), len(array), n_bins)
-    angles, visible = bins
+    if n_bins < x.shape[-1]:
+        raise ValueError(f"n_bins {n_bins} < array length {x.shape[-1]}")
+    angles, visible = _fft_axis(spacing, n_bins)
     spectrum = np.fft.fftshift(np.fft.fft(x, n=n_bins, axis=-1), axes=-1)
     return angles, np.abs(spectrum[..., visible]) ** 2
 
@@ -487,10 +472,7 @@ def estimate_angles(
         x = data[bins % len(data), :, cols]
         if phase is not None:
             x = x * phase[bins + len(data) // 2]
-        bins = None
-        if plan.fft_visible is not None and len(plan.fft_visible) == fft_bins:
-            bins = plan.fft_angles_deg, plan.fft_visible
-        angles, powers = _fft_spectra(x, plan.array, fft_bins, bins)
+        angles, powers = _fft_spectra(x, plan.array, plan.spacing, fft_bins)
         return _peaks(angles, powers, max_peaks)
     x = np.fft.fftshift(data[:, :, cols], axes=0)
     if phase is not None:

@@ -71,20 +71,26 @@ def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
 
 
 _thread = threading.local()
+# Largest map, in cells, whose CFAR arrays a thread keeps: 256 x 256, 2.7
+# MiB of them. A 128-chirp, 256-sample frame's map is half that.
+_HELD_CFAR_CELLS = 1 << 16
 
 
 def _cfar_buffers(shape: tuple[int, ...], scratch_size: int):
     """This thread's CFAR arrays for a ``shape`` map: (mask, thresholds,
     noise) for axis 0 and for axis 1, and ``scratch_size`` float64 elements
     for the padded cumulative sums; replaced only when a map of another shape
-    or a window of another size arrives."""
+    or a window of another size arrives. Above ``_HELD_CFAR_CELLS`` cells
+    they are new arrays that the thread does not keep."""
     buffers = getattr(_thread, "cfar", None)
     if buffers is None or buffers[0][0].shape != shape or buffers[2].size != scratch_size:
-        buffers = _thread.cfar = (
+        buffers = (
             (np.empty(shape, bool), np.empty(shape), np.empty(shape)),
             (np.empty(shape, bool), np.empty(shape), np.empty(shape)),
             np.empty(scratch_size),
         )
+        if math.prod(shape) <= _HELD_CFAR_CELLS:
+            _thread.cfar = buffers
     return buffers
 
 
@@ -194,8 +200,11 @@ def cfar_2d(
     power against the noise estimate behind it, inf if that estimate is 0.
     The AND composition is conservative: its false-alarm rate is below
     either axis's pfa on homogeneous noise. Detections are in row-major cell order.
-    The per-cell arrays live in this thread's buffers, reused by its later
-    calls on maps of the same shape; the returned detections refer to none.
+    The per-cell arrays live in buffers of the calling thread, reused by its
+    later calls on maps of the same shape and held until the thread exits or
+    a map of another shape replaces them: about 43 bytes a cell, 1.35 MiB
+    for a 128 x 256 map. Maps above 65536 cells get arrays that are freed on
+    return. The returned detections refer to none of them.
     """
     m = np.asarray(map_linear, dtype=np.float64)
     if m.ndim != 2:

@@ -137,6 +137,10 @@ class PipelineConfig:
             (_window_fits(self.doppler_cfar, radar.chirps_per_frame_per_tx), "doppler_cfar",
              f"a window with 2*(guard_cells+train_cells) < chirps_per_frame_per_tx "
              f"({radar.chirps_per_frame_per_tx})"),
+            # On the plan the frames will use; its spacing is None below 2 elements.
+            (method is not AoaMethod.FFT or self.aoa_plan.spacing is not None,
+             "aoa_method", "bartlett, capon or music unless the virtual array is "
+             "uniformly spaced with >= 2 elements (fft)"),
             (method is not AoaMethod.MUSIC or n_virtual >= 2,
              "aoa_method", "bartlett or capon on a 1-element virtual array"),
             (self.connectivity in (4, 8), "connectivity", "4 or 8"),
@@ -155,19 +159,12 @@ class PipelineConfig:
         ]:
             if not ok:
                 raise ConfigError(f"{name} must be {allowed}, got {getattr(self, name)!r}")
-        # On the plan the frames will use, built from the counts checked above;
-        # its spacing is None below 2 elements.
-        if method is AoaMethod.FFT and self.aoa_plan.spacing is None:
-            raise ConfigError("aoa_method must be bartlett, capon or music unless the "
-                              "virtual array is uniformly spaced with >= 2 elements (fft), "
-                              f"got {method!r}")
 
     @functools.cached_property
     def aoa_plan(self) -> AoaPlan:
         """Frame-invariant angle-estimation arrays, built on first use."""
-        if self.aoa_method is AoaMethod.FFT:
-            return aoa_plan(self.radar, fft_bins=self.aoa_fft_bins)
-        return aoa_plan(self.radar, self.aoa_grid_step_deg)
+        grid_step = None if self.aoa_method is AoaMethod.FFT else self.aoa_grid_step_deg
+        return aoa_plan(self.radar, grid_step)
 
     def to_jsonable(self) -> dict:
         return encode_jsonable(self)

@@ -288,57 +288,6 @@ def _csv_tables():
 _CSV_TEMPLATES, _CSV_DIGITS4, _CSV_SIG4, _CSV_DIGITS2, _CSV_SIG2 = _csv_tables()
 
 
-def _short_csv_tables():
-    """Tables of ``_encode_short_cells``, for a value printed with e + 1 integer
-    digits (decimal exponent e = 0..5) and p = 1..6 digits in all.
-
-    A cell is one uint64 word, written low byte first; a 0 byte is dropped.
-    The digit table holds the three ASCII digits of 0..999 in bytes 0-2. By
-    key 6 e + p - 1: the integer mask keeps the integer digits (all p of
-    them when there is no fraction), the fraction mask keeps digits
-    e + 1 .. p - 1, which move up one byte for the '.', and the punctuation
-    word holds that '.' (if p > e + 1) and ',' in byte 7.
-    """
-    v = np.arange(1000)
-    digits = v[:, np.newaxis] // np.array([100, 10, 1]) % 10
-    digits3 = (digits + ord("0")) @ (1 << np.array([0, 8, 16]))
-    sig3 = 3 - np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
-    e, p = np.divmod(np.arange(36), 6)
-    p += 1
-    low = (1 << 8 * np.minimum(e + 1, p)) - 1
-    keep = (1 << 8 * p) - 1
-    punct = (ord(",") << 56) + np.where(p > e + 1, ord(".") << 8 * (e + 1), 0)
-    return (
-        digits3.astype(np.uint64),
-        sig3.astype(np.uint8),
-        np.where(v > 0, 3 + sig3, 0).astype(np.uint8),
-        low.astype(np.uint64),
-        (keep & ~low).astype(np.uint64),
-        punct.astype(np.uint64),
-    )
-
-
-(_CSV_DIGITS3, _CSV_SIG3_HI, _CSV_SIG3_LO,
- _CSV_INT_MASK, _CSV_FRAC_MASK, _CSV_PUNCT) = _short_csv_tables()
-
-
-def _encode_short_cells(n: np.ndarray, exp10: np.ndarray, shape) -> bytes:
-    """``_encode_csv_rows`` of a block of positive cells whose 6 significant
-    digits ``n`` (100000..999999) print with ``exp10`` + 1 = 1..6 integer
-    digits: at most 7 characters and ',' in 8 bytes. The '.' is shifted in
-    after the integer digits and trailing zeros of the fraction are masked."""
-    hi = n // 1000
-    lo = n - 1000 * hi
-    n_sig = np.maximum(_CSV_SIG3_HI.take(hi), _CSV_SIG3_LO.take(lo))
-    key = 6 * exp10 + np.maximum(exp10 + 1, n_sig) - 1
-    digits = _CSV_DIGITS3.take(hi) | (_CSV_DIGITS3.take(lo) << 24)
-    cells = digits & _CSV_INT_MASK.take(key)
-    cells |= (digits & _CSV_FRAC_MASK.take(key)) << 8
-    cells |= _CSV_PUNCT.take(key)
-    cells.reshape(shape)[:, -1] ^= (ord(",") ^ ord("\n")) << 56
-    return cells.astype("<u8", copy=False).tobytes().translate(None, b"\0")
-
-
 def _encode_csv_rows(rows: np.ndarray) -> bytes:
     """The bytes np.savetxt(fmt="%.6g", delimiter=",") writes for a 2-d block.
 
@@ -348,9 +297,7 @@ def _encode_csv_rows(rows: np.ndarray) -> bytes:
     digits. Every other cell goes to Python's correctly rounded '%.6g':
     nan, +-inf, +-0, exponent notation, s within 1e-6 of a .5 tie (the
     rounding of s and of x could differ there), and s < 1e5 (log10 put x a
-    decade too high). A block whose cells all print as positive numbers
-    with 1-6 integer digits (1 <= x < 999999.5, no carry) is laid out in 8
-    bytes a cell by ``_encode_short_cells``; any other in 24.
+    decade too high).
     """
     if rows.shape[1] == 0:
         return b"\n" * rows.shape[0]
@@ -365,8 +312,6 @@ def _encode_csv_rows(rows: np.ndarray) -> bytes:
         fast = (s >= 1e5) & (s < 1e6 + 0.5) & (np.abs(s - n) < 0.5 - 1e-6)
         fast &= (exp10 >= -4) & (exp10 <= 5)
         n = n.astype(np.intp)
-    if (fast & ~carry & (exp10 >= 0) & (x > 0)).all():
-        return _encode_short_cells(n, exp10, rows.shape)
     hi = n // 100
     lo = n - 100 * hi
     n_sig = np.maximum(_CSV_SIG4.take(hi, mode="clip"), _CSV_SIG2.take(lo, mode="clip"))

@@ -32,6 +32,7 @@ from radarkit import (
     to_point_cloud,
     write_point_cloud_csv,
 )
+import radarkit.detect
 from radarkit.detect import _cfar
 
 
@@ -284,6 +285,30 @@ def test_cfar_buffers_are_per_thread_and_follow_the_map_shape():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+def test_cfar_keeps_buffers_only_for_maps_up_to_the_bound():
+    # A thread keeps the CFAR arrays of a pipeline-sized map, not those of a
+    # one-off large map, whose arrays are freed on return.
+    rng = np.random.default_rng(6)
+    small = 10.0 ** rng.uniform(0, 6, (128, 256))
+    large = 10.0 ** rng.uniform(0, 6, (260, 256))  # 66560 cells
+    assert small.size <= radarkit.detect._HELD_CFAR_CELLS < large.size
+    params = CfarParams()
+    held = []
+
+    def run():
+        assert cfar_2d(large, params, params) == _reference_cfar_2d(large, params, params)
+        held.append(getattr(radarkit.detect._thread, "cfar", None))
+        assert cfar_2d(small, params, params) == _reference_cfar_2d(small, params, params)
+        kept = radarkit.detect._thread.cfar
+        assert cfar_2d(large, params, params) == _reference_cfar_2d(large, params, params)
+        held.append(radarkit.detect._thread.cfar is kept and kept[0][0].shape == small.shape)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert held == [None, True]
 
 
 @st.composite

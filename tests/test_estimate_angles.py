@@ -29,7 +29,7 @@ from radarkit import (
     to_point_cloud,
     virtual_array,
 )
-from radarkit.aoa import AoaMethod, estimate_angles
+from radarkit.aoa import AoaMethod, _fft_axis, estimate_angles
 from radarkit.cli import main
 from radarkit.detect import cfar_2d, group_peaks
 from radarkit.rangedoppler import accumulate_power, doppler_processing, range_processing
@@ -162,24 +162,15 @@ def test_aoa_plan_built_once_per_config_and_read_only():
     assert fft_plan.pair_lag is None and fft_plan.phasors is None
 
 
-def test_fft_plan_holds_the_bins_aoa_fft_scans(frames):
-    cfg = PipelineConfig(radar=C0, aoa_fft_bins=100)
-    plan = cfg.aoa_plan
+def test_fft_plan_holds_the_spacing_and_the_bins_are_built_once():
+    plan = PipelineConfig(radar=C0).aoa_plan
     assert plan.spacing == 0.5
     spectrum = aoa_fft(np.ones(8, complex), plan.array, 100)
-    assert np.array_equal(plan.fft_angles_deg, spectrum.angles_deg)
-    assert len(plan.fft_visible) == 100 and plan.fft_visible.sum() == len(spectrum.angles_deg)
-    assert not plan.fft_angles_deg.flags.writeable and not plan.fft_visible.flags.writeable
-    # A plan without the tables, or built for other bins, scans the same angles.
-    data = np.fft.ifftshift(doppler_processing(range_processing(frames["c0_40_targets"]),
-                                               C0).data, axes=0)
-    args = (data, [-5, 0, 17], [40, 60, 80], AoaMethod.FFT)
-    kwargs = dict(fft_bins=100, music_n_sources=None, capon_loading=0.0, max_peaks=2)
-    want = estimate_angles(plan, *args, **kwargs)
-    bare = dataclasses.replace(plan, fft_angles_deg=None, fft_visible=None)
-    other = PipelineConfig(radar=C0, aoa_fft_bins=64).aoa_plan
-    assert estimate_angles(bare, *args, **kwargs) == want
-    assert estimate_angles(other, *args, **kwargs) == want
+    angles, visible = _fft_axis(0.5, 100)
+    assert _fft_axis(0.5, 100)[0] is angles
+    assert np.array_equal(angles, spectrum.angles_deg)
+    assert len(visible) == 100 and visible.sum() == len(angles)
+    assert not angles.flags.writeable and not visible.flags.writeable
 
 
 def test_plan_built_under_worker_threads_gives_serial_results(frames):

@@ -332,48 +332,6 @@ def test_csv_encoder_edge_values(value, text):
     assert _encoded_row([value]) == (text + "\n").encode("ascii")
 
 
-def _percent_g_block(rows) -> bytes:
-    return b"".join((",".join("%.6g" % v for v in row) + "\n").encode("ascii") for row in rows)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(1.0, 999999.0), min_size=1, max_size=8), st.integers(0, 10**6))
-@example([10.0, 100.0, 99.99995, 999.9995, 100.0015], 0)
-@example([10.0, 100.0, 12.5, 1.0, 999999.0, 100000.0], 1)
-def test_short_cell_blocks_match_percent_g(values, seed):
-    # Blocks of cells that print with 1-6 integer digits take the 8-byte
-    # layout unless a cell is a tie or carries into the next decade.
-    rows = np.array([values, np.random.default_rng(seed).permutation(values)])
-    assert _encode_csv_rows(rows) == _percent_g_block(rows)
-
-
-@pytest.mark.parametrize(
-    "value, short",
-    [
-        (10.0, True),
-        (100.0, True),
-        (1.0, True),
-        (123456.0, True),
-        (99.99996, False),  # carries to "100"
-        (999.99996, False),  # carries to "1000"
-        (99.99995, False),  # s ties at 999999.5, then carries
-        (999.9995, False),
-        (100.0015, False),  # s ties at 100001.5
-        (0.5, False),  # no integer digit
-        (-10.0, False),  # the sign needs a byte
-    ],
-)
-def test_short_cell_layout_only_where_it_fits(monkeypatch, value, short):
-    import radarkit.rangedoppler as rd
-
-    calls = []
-    encode = rd._encode_short_cells
-    monkeypatch.setattr(rd, "_encode_short_cells", lambda *a: calls.append(1) or encode(*a))
-    rows = np.array([[value, 20.0], [30.0, 40.5]])
-    assert _encode_csv_rows(rows) == _percent_g_block(rows)
-    assert bool(calls) is short
-
-
 def _savetxt_bytes(m, path) -> bytes:
     np.savetxt(path, np.atleast_2d(m), fmt="%.6g", delimiter=",")
     return path.read_bytes()
