@@ -474,10 +474,16 @@ def estimate_angles(
             x = x * phase[bins + len(data) // 2]
         angles, powers = _fft_spectra(x, plan.array, plan.spacing, fft_bins)
         return _peaks(angles, powers, max_peaks)
-    x = np.fft.fftshift(data[:, :, cols], axes=0)
+    # One gather takes each column in centered order (centered row r is FFT
+    # row r - N_c/2) as a C-contiguous (detection, doppler, element) stack,
+    # which is compensated in place and freed before the grid scan.
+    n = len(data)
+    rows = (np.arange(n) - n // 2) % n
+    x = data[rows[:, np.newaxis], np.arange(data.shape[1]), cols[:, np.newaxis, np.newaxis]]
     if phase is not None:
-        x = x * phase[:, :, np.newaxis]
+        np.multiply(x, phase, out=x)
     loading = capon_loading if method is AoaMethod.CAPON else 0.0
-    r = _covariances(np.moveaxis(x, -1, 0), loading)
+    r = _covariances(x, loading)
+    del x
     powers = _grid_spectra(plan, method, r, music_n_sources)
     return _peaks(plan.grid_deg, powers, max_peaks)

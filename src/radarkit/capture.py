@@ -14,6 +14,12 @@ int16 I then int16 Q, little-endian. This matches the DataCube axis order, so
 (I, Q) pairs that shares the bytes' memory. The range stage casts them to
 complex as it windows them.
 
+Live, ``CaptureListener`` copies each frame's bytes, as they are
+reassembled, into a buffer of exactly the frame's size. Reassembled bytes
+never change, so the whole chirp rows they complete are final: the listener
+reports them, for the frame in progress, to a consumer waiting for that
+frame, which can run the range stage on them before the frame is complete.
+
 Capture file layout:
 
     "ORAD" | u16 version(=1) LE | u32 blob length | config blob | u32 frames | frame bytes...
@@ -23,15 +29,16 @@ where the config blob is canonical key-sorted JSON text of the RadarConfig.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import os
-import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -387,20 +394,144 @@ def _frames(path, data_offset: int, header: CaptureFileHeader) -> Iterator[DataC
 
 _END = object()  # queued last, when the listener thread ends
 _QUEUE_FRAMES = 64  # completed frames held for the consumer before drop-oldest
+_ROW_STEPS = 16  # the final rows of a frame in progress are reported in 16ths of it
 
 
-class CaptureListener:
+class _FrameStream:
+    """Datagrams in, complete frames out: ``CaptureListener`` without its
+    socket and thread, which ``_receive`` each datagram and ``_end`` the
+    stream.
+
+    Each frame's bytes are copied, as they are reassembled, into a buffer of
+    exactly the frame's size, which becomes the frame's cube without a copy
+    once it is full. Completed frames wait in a queue of at most 64 frames
+    with a drop-oldest backpressure policy (``frames_dropped_backpressure``
+    counts casualties). Bytes the reassembler has emitted never change, so
+    the chirp rows they complete are final; ``frames`` reports them for the
+    frame in progress, in steps of a 16th of its chirps, to a consumer
+    waiting for that frame.
+    """
+
+    def __init__(self, cfg: RadarConfig, window: int):
+        self.cfg = cfg
+        self._frame_bytes = frame_byte_count(cfg)
+        self._row_bytes = self._frame_bytes // cfg.chirps_per_frame
+        self._step_rows = -(-cfg.chirps_per_frame // _ROW_STEPS)
+        self._reassembler = PacketReassembler(window)
+        self._frame = bytearray(self._frame_bytes)  # the frame in progress
+        self._filled = 0
+        self._rows_reported = 0
+        self._frame_index = 0
+        self._last_report = DropReport()
+        self.frames_dropped_backpressure = 0
+        # Shared with the consumer under _ready: completed (cube, report)
+        # items, then _END; and (frame in progress, final chirp rows), or
+        # None while none of its rows are reported.
+        self._ready = threading.Condition()
+        self._queue: collections.deque = collections.deque()
+        self._progress: Optional[tuple[bytearray, int]] = None
+        self._error: Optional[Exception] = None
+
+    def _receive(self, datagram: bytes):
+        self._ingest(self._reassembler.feed(CapturePacket.decode(datagram)))
+
+    def _ingest(self, data: bytearray):
+        """Copy reassembled bytes into the frame in progress, handing each
+        frame over as it fills, then report that frame's final rows."""
+        data = memoryview(data)
+        while data:
+            n = min(len(data), self._frame_bytes - self._filled)
+            self._frame[self._filled:self._filled + n] = data[:n]
+            self._filled += n
+            data = data[n:]
+            if self._filled == self._frame_bytes:
+                self._hand_over()
+        rows = self._filled // self._row_bytes // self._step_rows * self._step_rows
+        if rows > self._rows_reported:
+            self._rows_reported = rows
+            with self._ready:
+                self._progress = (self._frame, rows)
+                self._ready.notify()
+
+    def _hand_over(self):
+        cube = deinterleave(self._frame, self.cfg, self._frame_index)
+        report = self._reassembler.report
+        item = (cube, report - self._last_report)
+        self._last_report = report
+        self._frame_index += 1
+        self._frame = bytearray(self._frame_bytes)
+        self._filled = self._rows_reported = 0
+        with self._ready:
+            while len(self._queue) >= _QUEUE_FRAMES:
+                self._queue.popleft()
+                self.frames_dropped_backpressure += 1
+            self._queue.append(item)
+            self._progress = None
+            self._ready.notify()
+
+    def _end(self, error: Optional[Exception] = None):
+        """Queue the end of the stream, after which ``frames`` raises ``error``."""
+        with self._ready:
+            self._error = error
+            self._queue.append(_END)
+            self._ready.notify()
+
+    def frames(
+        self,
+        max_frames: Optional[int] = None,
+        idle_timeout_s: Optional[float] = None,
+        on_rows: Optional[Callable[[bytearray, int], None]] = None,
+    ) -> Iterator[tuple[DataCube, DropReport]]:
+        """Yield (cube, per-frame DropReport) until a limit or idle timeout.
+
+        The idle timeout is the longest wait for one frame. While no frame
+        is queued, ``on_rows(buffer, rows)`` is called in the calling thread
+        whenever more chirp rows of the frame in progress are final:
+        ``buffer`` is the bytearray that becomes that frame's cube (as
+        ``deinterleave`` views it), and its first ``rows`` chirp rows will
+        not change. Also stops once the stream has ended, raising the error
+        that ended it, if any.
+        """
+        yielded = 0
+        seen = None  # the progress last passed to on_rows
+
+        def ready() -> bool:
+            progress = self._progress
+            return bool(self._queue) or (
+                on_rows is not None and progress is not None and progress is not seen)
+
+        while max_frames is None or yielded < max_frames:
+            deadline = None if idle_timeout_s is None else time.monotonic() + idle_timeout_s
+            while True:
+                with self._ready:
+                    left = None if deadline is None else max(0.0, deadline - time.monotonic())
+                    if not self._ready.wait_for(ready, left):
+                        return  # idle timeout
+                    if self._queue:
+                        item = self._queue[0]
+                        if item is not _END:  # _END stays for any later call
+                            self._queue.popleft()
+                        break
+                    seen = self._progress
+                on_rows(*seen)
+            if item is _END:
+                if self._error is not None:
+                    raise self._error
+                return
+            yield item
+            yielded += 1
+
+
+class CaptureListener(_FrameStream):
     """Background UDP receiver turning datagrams into complete frames.
 
-    Runs as a daemon thread; completed frames are delivered through a bounded
-    queue with a drop-oldest backpressure policy (``frames_dropped_backpressure``
-    counts casualties). Frames are never partially emitted: bytes accumulate
-    until a full frame extent is available, and that buffer becomes the
-    frame's cube without a copy. 0.2 s of silence gives gaps up
-    (``PacketReassembler.flush_quiet``), which delivers a stream's last frame.
-    An error that ends the thread (a short datagram, a ``byte_offset`` the
-    stream contradicts) is raised by ``frames`` once the frames completed
-    before it have been yielded.
+    Runs as a daemon thread that reassembles datagrams into frames as
+    ``_FrameStream`` describes; take them with ``frames`` and end the thread
+    with ``stop``. 0.2 s of silence gives gaps up
+    (``PacketReassembler.flush_quiet``), which delivers a stream's last
+    frame. An error that ends the thread (a short datagram, a
+    ``byte_offset`` the stream contradicts) is raised by ``frames`` once the
+    frames completed before it have been yielded.
     """
 
     def __init__(
@@ -410,17 +541,8 @@ class CaptureListener:
         window: int,
         host: str = "0.0.0.0",
     ):
-        self.cfg = cfg
-        self._frame_bytes = frame_byte_count(cfg)
-        self._reassembler = PacketReassembler(window)
-        self._buffer = bytearray()
-        # One slot above the frames is kept for _END, so no frame is evicted for it.
-        self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_FRAMES + 1)
+        super().__init__(cfg, window)
         self._stop = threading.Event()
-        self._frame_index = 0
-        self._last_report = DropReport()
-        self._error: Optional[Exception] = None
-        self.frames_dropped_backpressure = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 23)
@@ -437,6 +559,7 @@ class CaptureListener:
         return self._sock.getsockname()[1]
 
     def _run(self):
+        error = None
         try:
             while not self._stop.is_set():
                 try:
@@ -446,51 +569,13 @@ class CaptureListener:
                     continue
                 except OSError:
                     break
-                self._ingest(self._reassembler.feed(CapturePacket.decode(datagram)))
+                self._receive(datagram)
             self._ingest(self._reassembler.flush_quiet())
         except Exception as e:
-            self._error = e
+            error = e
         finally:
             self._sock.close()
-            self._queue.put_nowait(_END)
-
-    def _ingest(self, data: bytearray):
-        self._buffer += data
-        while len(self._buffer) >= self._frame_bytes:
-            frame, self._buffer = self._buffer, self._buffer[self._frame_bytes:]
-            del frame[self._frame_bytes:]
-            cube = deinterleave(frame, self.cfg, self._frame_index)
-            report = self._reassembler.report
-            item = (cube, report - self._last_report)
-            self._last_report = report
-            self._frame_index += 1
-            while self._queue.qsize() >= _QUEUE_FRAMES:
-                with contextlib.suppress(queue.Empty):
-                    self._queue.get_nowait()
-                    self.frames_dropped_backpressure += 1
-            self._queue.put_nowait(item)
-
-    def frames(
-        self, max_frames: Optional[int] = None, idle_timeout_s: Optional[float] = None
-    ) -> Iterator[tuple[DataCube, DropReport]]:
-        """Yield (cube, per-frame DropReport) until a limit or idle timeout.
-
-        Also stops once the listener thread has ended, raising the error that
-        ended it, if any.
-        """
-        yielded = 0
-        while max_frames is None or yielded < max_frames:
-            try:
-                item = self._queue.get(timeout=idle_timeout_s)
-            except queue.Empty:
-                return
-            if item is _END:
-                self._queue.put_nowait(_END)  # for any later call
-                if self._error is not None:
-                    raise self._error
-                return
-            yield item
-            yielded += 1
+            self._end(error)
 
     def stop(self):
         self._stop.set()

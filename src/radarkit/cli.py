@@ -3,14 +3,17 @@
 ``process`` and ``listen`` differ only in their frame source: both run
 ``_run``, which processes the frames through ``iter_pipeline``, writes them
 in frame order on one writer thread and writes ``run_manifest.json`` after
-the last frame. Every failure, a failed write included, ends the command
-with exit code 1 and a single-line JSON error object on stderr, e.g.
+the last frame. While ``listen`` waits for a frame, it range-processes the
+frame's chirp rows that are final (``pipeline.range_ahead``). Every
+failure, a failed write included, ends the command with exit code 1 and a
+single-line JSON error object on stderr, e.g.
 {"error": "FormatError", "message": "bad magic ..."}.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import socket
 import sys
@@ -30,6 +33,7 @@ from .pipeline import (
     iter_pipeline,
     load_json,
     load_pipeline_config,
+    range_ahead,
     run_pipeline,
     write_drop_reports,
     write_frame_outputs,
@@ -130,7 +134,10 @@ def _cmd_listen(args) -> int:
 
     listener = CaptureListener(args.port, cfg.radar, window=args.window)
     try:
-        for result in _run(cfg, out, cubes(listener.frames(args.frames, timeout))):
+        # While it waits for a frame, the main thread range-processes the
+        # frame's final rows, which process_frame then does not redo.
+        stream = listener.frames(args.frames, timeout, on_rows=functools.partial(range_ahead, cfg))
+        for result in _run(cfg, out, cubes(stream)):
             i = result.frame_index
             print(f"frame {i}: {len(result.point_cloud)} points, "
                   f"{reports[i].packets_dropped} packets dropped")

@@ -27,6 +27,16 @@ kind and length. After its first frame, a thread allocates nothing
 map-sized but the dB map of the ``FrameResult``, a new array on every frame
 since the writer encodes it while the next frame runs. Nothing in a
 ``FrameResult`` refers to the buffers.
+
+A frame still arriving can be range-processed ahead: ``range_ahead`` runs
+the range stage (cast, window, FFT, by the kernel ``process_frame`` uses)
+on the chirp rows of a frame's buffer that are final, into the thread's
+cube buffer. ``process_frame`` of that frame, on the same thread, then
+runs the range stage only on the rows after them, and its ``range_fft``
+time counts only those. The rows done are tied to the buffer they were
+read from, never to a frame index, and are used by the next frame
+processed or not at all. ``listen`` calls ``range_ahead`` while it waits
+for a frame; ``process`` does not, so its frames run the whole chain.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from . import __version__
 from .aoa import MAX_ANGLE_BINS, AoaMethod, AoaPlan, aoa_plan, estimate_angles
 from .capture import DropReport
 from .core import (
+    WIRE_DTYPE,
     ConfigError,
     DataCube,
     RadarConfig,
@@ -73,6 +84,8 @@ from .rangedoppler import (
     _accumulate,
     _center_rows,
     _doppler_fft,
+    _range_rows,
+    _shared_window,
     range_processing,
     to_db,
     write_power_map_csv,
@@ -221,12 +234,55 @@ _thread = threading.local()
 def _workspace(shape: tuple[int, ...], map_shape: tuple[int, int]):
     """This thread's work buffers: a complex128 cube of ``shape`` and two
     float64 (Doppler, range) maps of ``map_shape``; replaced only when a
-    frame of another shape arrives."""
+    frame of another shape arrives, which discards any rows done ahead."""
     buffers = getattr(_thread, "workspace", None)
     if buffers is None or buffers[0].shape != shape or buffers[1].shape != map_shape:
         buffers = (np.empty(shape, np.complex128), np.empty(map_shape), np.empty(map_shape))
         _thread.workspace = buffers
+        _thread.ahead = None
     return buffers
+
+
+def range_ahead(cfg: PipelineConfig, frame, rows: int) -> None:
+    """Range-process the first ``rows`` chirp rows of a frame still arriving.
+
+    ``frame`` is the buffer that will hold the frame's wire bytes, of which
+    the first ``rows`` chirp rows are final and never change. Their range
+    FFT goes into this thread's cube buffer, as ``process_frame`` computes
+    it; rows done by an earlier call for the same buffer are not done
+    again. ``process_frame`` of a cube that views the same bytes, on this
+    thread, then does only the rows after them. Rows done are kept for one
+    buffer at a time, which they hold by reference; the next frame that
+    ``process_frame`` runs, or a call for another buffer, discards them.
+    """
+    radar = cfg.radar
+    shape = (radar.chirps_per_frame, radar.num_rx, radar.samples_per_chirp)
+    buf = _workspace(shape, (radar.chirps_per_frame_per_tx, radar.samples_per_chirp))[0]
+    ahead = _thread.ahead
+    if ahead is not None and ahead[0] is frame and ahead[2] is cfg.range_window:
+        _, pairs, _, done = ahead
+    else:
+        pairs, done = np.frombuffer(frame, WIRE_DTYPE).reshape(*shape, 2), 0
+    if rows > done:
+        w = _shared_window(cfg.range_window, radar.samples_per_chirp)
+        _range_rows(pairs[done:rows], w, buf[done:rows])
+        done = rows
+    _thread.ahead = (frame, pairs, cfg.range_window, done)
+
+
+def _rows_done(cube: DataCube, window_kind: WindowKind) -> int:
+    """Chirp rows of ``cube`` that ``range_ahead`` left in this thread's cube
+    buffer: those done for the same bytes under the same window, else 0.
+    Rows done ahead are used once. Call it after ``_workspace``."""
+    ahead, _thread.ahead = _thread.ahead, None
+    if ahead is None:
+        return 0
+    _, pairs, kind, done = ahead
+    # The record holds the buffer, so no other buffer can have its address.
+    same_bytes = (pairs.shape == cube.iq.shape and pairs.dtype == cube.iq.dtype
+                  and pairs.__array_interface__["data"][0]
+                  == cube.iq.__array_interface__["data"][0])
+    return done if same_bytes and kind is window_kind else 0
 
 
 _STAGES = ("range_fft", "doppler_fft", "power_map", "cfar_2d", "group_peaks", "aoa",
@@ -244,7 +300,8 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
         # FFT order; only the power map is shifted to centered order.
         map_shape = (cube.shape[0] // cfg.radar.num_tx, cube.shape[-1])
         buf, fft_order, centered = _workspace(cube.shape, map_shape)
-        range_cube = range_processing(cube, cfg.range_window, out=buf)
+        range_cube = range_processing(cube, cfg.range_window, out=buf,
+                                      start=_rows_done(cube, cfg.range_window))
         marks.append(time.perf_counter())
         rd = _doppler_fft(range_cube, cfg.radar, cfg.doppler_window)
         marks.append(time.perf_counter())

@@ -75,11 +75,23 @@ def coherent_gain(kind: WindowKind, length: int) -> float:
     return float(window(kind, length).mean())
 
 
+def _range_rows(iq: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """The range stage of whole chirp rows: cast the (chirp, rx, sample, 2)
+    pairs ``iq`` into ``out``, a C-contiguous complex128 array of their
+    (chirp, rx, sample) shape, window them there by ``w`` and FFT them in
+    place. Each row is transformed on its own, so any split of a cube into
+    row blocks gives the same bytes as the whole cube."""
+    np.copyto(out.view(np.float64).reshape(iq.shape), iq)
+    np.multiply(out, w, out=out)
+    np.fft.fft(out, axis=-1, out=out)
+
+
 def range_processing(
     cube: DataCube,
     window_kind: WindowKind = WindowKind.RECTANGULAR,
     *,
     out: np.ndarray | None = None,
+    start: int = 0,
 ) -> np.ndarray:
     """Window and FFT each chirp along the sample axis.
 
@@ -89,14 +101,15 @@ def range_processing(
     ``cube.data * w``) and FFT'd in place, so int16 wire samples are never
     decoded to a complex cube of their own. ``out``, a C-contiguous
     complex128 array of the cube's shape, is that result; without it the
-    result is a new array.
+    result is a new array. The chirp rows of ``out`` before ``start`` are
+    taken as already holding their range FFT (computed ahead, as the frame
+    arrived) and are left as they are.
     """
     w = _shared_window(window_kind, cube.config.samples_per_chirp)
     if out is None:
         out = np.empty(cube.shape, np.complex128)
-    np.copyto(out.view(np.float64).reshape(cube.iq.shape), cube.iq)
-    np.multiply(out, w, out=out)
-    return np.fft.fft(out, axis=-1, out=out)
+    _range_rows(cube.iq[start:], w, out[start:])
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import itertools
 import socket
+import sys
 import time
 
 import numpy as np
@@ -546,3 +547,93 @@ def test_capture_file_non_object_blob(tmp_path, c0):
     path.write_bytes(raw[:6] + (1).to_bytes(4, "little") + b"5" + raw[10 + blob_len:])
     with pytest.raises(FormatError, match="object"):
         read_capture_file(path)
+
+
+def _frame_buffer(cube: DataCube):
+    """The object whose memory a wire cube views."""
+    a = cube.iq
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.base.obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    payload_words=st.integers(1, 80),
+    window=st.integers(1, 8),
+    data=st.data(),
+    n_frames=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_listener_ingest_hands_over_the_capture_frames(payload_words, window, data,
+                                                      n_frames, seed):
+    # The listener's path without its socket: datagrams, displaced by at most
+    # `window` places, go through decode -> feed -> ingest.
+    cfg = small_config(num_tx=2, num_rx=2, chirps=4, samples=8)  # 512-byte frames
+    rng = np.random.default_rng(seed)
+    cubes = [DataCube(random_int_cube_data(rng, cfg), i, cfg) for i in range(n_frames)]
+    datagrams = [p.encode() for p in packetize(cubes, payload_bytes=4 * payload_words)]
+    displacement = data.draw(st.integers(0, window))
+    keys = np.arange(len(datagrams)) + rng.uniform(0.0, displacement, len(datagrams))
+    order = np.argsort(keys, kind="stable")
+    assert np.abs(np.argsort(order) - np.arange(len(order))).max() <= window
+    stream = radarkit.capture._FrameStream(cfg, window)
+    for i in order:
+        stream._receive(datagrams[i])
+    stream._ingest(stream._reassembler.flush_quiet())
+    stream._end()
+    got = list(stream.frames(idle_timeout_s=0))
+    assert [cube.frame_index for cube, _ in got] == list(range(n_frames))
+    for (cube, _), sent in zip(got, cubes):
+        assert cube.iq.tobytes() == serialize_cube(sent)
+    assert sum(report.packets_received for _, report in got) == len(datagrams)
+    assert not any(report.packets_dropped or report.bytes_zero_filled for _, report in got)
+
+
+def test_handed_over_frames_are_exact_size_buffers(c0):
+    # 721 datagrams of 1456 bytes a C0 frame; a buffer grown by appends kept
+    # up to 14% spare capacity.
+    rng = np.random.default_rng(21)
+    cubes = [DataCube(random_int_cube_data(rng, c0), i, c0) for i in range(3)]
+    stream = radarkit.capture._FrameStream(c0, window=8)
+    for pkt in packetize(cubes):
+        stream._receive(pkt.encode())
+    got = list(stream.frames(idle_timeout_s=0))
+    assert len(got) == 3
+    n = frame_byte_count(c0)
+    for cube, _ in got:
+        buf = _frame_buffer(cube)
+        assert isinstance(buf, bytearray)
+        assert len(buf) == n
+        assert sys.getsizeof(buf) <= sys.getsizeof(bytearray()) + n + 16
+
+
+def test_final_rows_are_reported_in_steps_while_a_frame_arrives():
+    cfg = small_config(num_tx=2, num_rx=2, chirps=16, samples=8)  # 32 rows of 64 bytes
+    rng = np.random.default_rng(22)
+    cube = DataCube(random_int_cube_data(rng, cfg), 0, cfg)
+    sent = serialize_cube(cube)
+    pkts = packetize([cube], payload_bytes=36)
+    stream = radarkit.capture._FrameStream(cfg, window=4)
+    calls = []
+
+    def on_rows(buf, rows):
+        calls.append((buf, rows, bytes(buf[:rows * 64])))
+
+    # Seq 5 comes last: the rows behind it are final only once it arrives.
+    for pkt in pkts[:5] + pkts[6:12]:
+        stream._receive(pkt.encode())
+        assert list(stream.frames(idle_timeout_s=0, on_rows=on_rows)) == []
+    assert {rows for _, rows, _ in calls} == {2}  # 180 bytes: one step of 2 rows
+    stream._receive(pkts[5].encode())
+    assert list(stream.frames(idle_timeout_s=0, on_rows=on_rows)) == []
+    assert calls[-1][1] == 6  # 432 bytes
+    got = []
+    for pkt in pkts[12:]:
+        stream._receive(pkt.encode())
+        got += stream.frames(idle_timeout_s=0, on_rows=on_rows)
+    assert [c.iq.tobytes() for c, _ in got] == [sent]
+    buf = _frame_buffer(got[0][0])
+    for seen_buf, rows, head in calls:
+        assert rows % 2 == 0 and 0 < rows < 32
+        assert seen_buf is buf and head == sent[:rows * 64]

@@ -1,8 +1,10 @@
+import functools
 import json
 import socket
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from radarkit.capture import (
     read_capture_file,
     write_capture_file,
 )
+from radarkit.capture import reassemble
 from radarkit.simulate import packetize
 from radarkit.cli import main
 from radarkit.detect import WindowError, log_gabor_filter
@@ -603,6 +606,22 @@ def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3, listen_args=()
     return rc[0], port
 
 
+def test_cli_listen_of_a_reordered_replay_writes_what_process_writes(tmp_path, monkeypatch,
+                                                                    capsys):
+    live, offline = tmp_path / "live", tmp_path / "offline"
+    code, _ = _listen_to_replay(tmp_path, monkeypatch, live, replay_args=["--reorder", "8"])
+    assert code == 0
+    assert main(["process", "--config", str(tmp_path / "pipeline.json"),
+                 "--in", str(tmp_path / "capture.orad"), "--out", str(offline)]) == 0
+    names = sorted(p.name for p in offline.iterdir())
+    assert len(names) == 3 * 3 + 1  # three files a frame and run_manifest.json
+    assert sorted(p.name for p in live.iterdir()) == sorted(names + ["drops.json"])
+    for name in names:
+        assert (live / name).read_bytes() == (offline / name).read_bytes(), name
+    drops = json.loads((live / "drops.json").read_text())
+    assert not any(d["packets_dropped"] or d["bytes_zero_filled"] for d in drops)
+
+
 def test_cli_listen_failed_write_ends_the_run(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "live"
     (out_dir / "frame_1_rd.csv").mkdir(parents=True)
@@ -726,3 +745,105 @@ def test_scene_unknown_keys_rejected(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
+
+
+AHEAD_RADAR = small_config(num_tx=2, num_rx=4, chirps=32, samples=64)  # 64 rows of 1 KiB
+
+
+def _ahead_capture(n_frames, lost_seq=None):
+    """Wire bytes of ``n_frames`` one-target frames, as the listener assembles
+    them: the packet of ``lost_seq``, if given, is lost and zero-filled."""
+    cubes = [synthesize_frame(AHEAD_RADAR, [PointTarget(12.0, 1.0, 10.0, 500.0)],
+                              NoiseSpec(50.0, 30 + i), i) for i in range(n_frames)]
+    packets = packetize(cubes)
+    stream, report = reassemble([p for p in packets if p.seq != lost_seq], window=4)
+    assert report.packets_dropped == (lost_seq is not None)
+    n = len(stream) // n_frames
+    return packets, [stream[i * n:(i + 1) * n] for i in range(n_frames)]
+
+
+def _reference(cfg, frame: bytes, frame_index=0):
+    """process_frame of the complete frame: its result and the cube it leaves."""
+    result = process_frame(cfg, deinterleave(frame, cfg.radar, frame_index))
+    return result, radarkit.pipeline._thread.workspace[0].tobytes()
+
+
+def _assert_same(cfg, result, reference):
+    ref_result, ref_cube = reference
+    assert result.power_map_db.tobytes() == ref_result.power_map_db.tobytes()
+    assert result.point_cloud == ref_result.point_cloud
+    assert radarkit.pipeline._thread.workspace[0].tobytes() == ref_cube
+
+
+@settings(max_examples=25, deadline=None)
+@given(gap=st.booleans(), data=st.data())
+def test_rows_done_ahead_give_the_complete_frame_result(gap, data):
+    # Seq 20 of the 46 of frame 0 carries its rows 28-29.
+    cfg = PipelineConfig(radar=AHEAD_RADAR)
+    frame = _ahead_capture(2, lost_seq=20 if gap else None)[1][0]
+    if gap:
+        assert not any(frame[20 * 1456:21 * 1456])
+    reference = _reference(cfg, frame)
+    row = len(frame) // 64
+    marks = sorted(data.draw(st.lists(st.integers(0, 64 * row - 1), max_size=5)))
+    buf = bytearray(len(frame))
+    for arrived in marks:  # bytes in, at any byte; only whole rows are final
+        buf[:arrived] = frame[:arrived]
+        radarkit.pipeline.range_ahead(cfg, buf, arrived // row)
+    buf[:] = frame
+    with mock.patch.object(radarkit.pipeline, "range_processing",
+                           wraps=radarkit.pipeline.range_processing) as range_stage:
+        result = process_frame(cfg, deinterleave(buf, AHEAD_RADAR, 0))
+    assert range_stage.call_args.kwargs["start"] == (marks[-1] // row if marks else 0)
+    _assert_same(cfg, result, reference)
+
+
+def test_rows_done_ahead_stay_with_their_buffer():
+    # Two listeners in one thread, both at frame 0: rows done ahead for the
+    # first one's frame in progress must not stand in for the second's frame.
+    cfg = PipelineConfig(radar=AHEAD_RADAR)
+    ahead = functools.partial(radarkit.pipeline.range_ahead, cfg)
+    packets, (frame_a,) = _ahead_capture(1)
+    other = [synthesize_frame(AHEAD_RADAR, [PointTarget(20.0, -1.0, -10.0, 800.0)],
+                              NoiseSpec(50.0, 99), 0)]
+    a, b = (radarkit.capture._FrameStream(AHEAD_RADAR, window=4) for _ in range(2))
+    for pkt in packets[:30]:
+        a._receive(pkt.encode())
+    assert list(a.frames(idle_timeout_s=0, on_rows=ahead)) == []
+    assert radarkit.pipeline._thread.ahead[3] > 0  # rows of a's frame 0 are done
+    for pkt in packetize(other):
+        b._receive(pkt.encode())
+    [(cube_b, _)] = b.frames(idle_timeout_s=0, on_rows=ahead)
+    result_b = process_frame(cfg, cube_b)
+    _assert_same(cfg, result_b, _reference(cfg, serialize_cube(other[0])))
+    for pkt in packets[30:]:
+        a._receive(pkt.encode())
+    [(cube_a, _)] = a.frames(idle_timeout_s=0, on_rows=ahead)
+    result_a = process_frame(cfg, cube_a)
+    _assert_same(cfg, result_a, _reference(cfg, frame_a))
+
+
+def test_listen_consumer_processes_ahead_through_a_given_up_gap():
+    # The consumer loop of listen, without the socket: datagrams arrive in
+    # bursts; between them the final rows of the frame in progress are range
+    # processed, and each completed frame is processed before the next burst.
+    cfg = PipelineConfig(radar=AHEAD_RADAR)
+    packets, frames = _ahead_capture(3, lost_seq=66)  # frame 1's rows 29-31
+    stream = radarkit.capture._FrameStream(AHEAD_RADAR, window=4)
+    ahead = functools.partial(radarkit.pipeline.range_ahead, cfg)
+    results, starts = [], []
+    with mock.patch.object(radarkit.pipeline, "range_processing",
+                           wraps=radarkit.pipeline.range_processing) as range_stage:
+        sent = [p.encode() for p in packets if p.seq != 66]
+        for k in range(0, len(sent), 7):
+            for datagram in sent[k:k + 7]:
+                stream._receive(datagram)
+            for cube, _ in stream.frames(idle_timeout_s=0, on_rows=ahead):
+                results.append(process_frame(cfg, cube))
+                starts.append(range_stage.call_args.kwargs["start"])
+    assert [r.frame_index for r in results] == [0, 1, 2]
+    assert all(0 < start < 64 for start in starts)
+    for i, result in enumerate(results):
+        reference = _reference(cfg, frames[i], i)
+        assert result.power_map_db.tobytes() == reference[0].power_map_db.tobytes()
+        assert result.point_cloud == reference[0].point_cloud
