@@ -3,10 +3,11 @@
 ``process`` and ``listen`` differ only in their frame source: both run
 ``_run``, which processes the frames through ``iter_pipeline``, writes them
 in frame order on one writer thread and writes ``run_manifest.json`` after
-the last frame. While ``listen`` waits for a frame, it range-processes the
-frame's chirp rows that are final (``pipeline.range_ahead``). Every
-failure, a failed write included, ends the command with exit code 1 and a
-single-line JSON error object on stderr, e.g.
+the last frame. ``listen`` reads its socket on the main thread, in
+``CaptureListener.frames``, between the frames it processes; while it waits
+for a frame, it range-processes the frame's chirp rows that are final
+(``pipeline.range_ahead``). Every failure, a failed write included, ends
+the command with exit code 1 and a single-line JSON error object on stderr, e.g.
 {"error": "FormatError", "message": "bad magic ..."}.
 """
 
@@ -103,6 +104,7 @@ def _run(cfg: PipelineConfig, out: Path, cubes, workers: int = 1):
 def _cmd_process(args) -> int:
     """Stream the capture: at most ``--workers`` frames are decoded and not
     yet processed at a time."""
+    _check_flags((args.workers >= 1, "--workers", ">= 1", args.workers))
     cfg = load_pipeline_config(args.config)
     file_cfg, cubes = read_capture_file(args.infile)
     if file_cfg != cfg.radar:

@@ -103,10 +103,12 @@ def range_processing(
     complex128 array of the cube's shape, is that result; without it the
     result is a new array. The chirp rows of ``out`` before ``start`` are
     taken as already holding their range FFT (computed ahead, as the frame
-    arrived) and are left as they are.
+    arrived) and are left as they are; a ``start`` above 0 needs ``out``.
     """
     w = _shared_window(window_kind, cube.config.samples_per_chirp)
     if out is None:
+        if start:
+            raise ValueError(f"start={start} needs out=, whose rows before it are done")
         out = np.empty(cube.shape, np.complex128)
     _range_rows(cube.iq[start:], w, out[start:])
     return out

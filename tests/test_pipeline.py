@@ -705,13 +705,17 @@ def test_cli_bench_stage_rows_sum_to_at_most_end_to_end(tmp_path, capsys):
         (["listen", "--port", "70000", "--idle-timeout-s", "1e300"], "ConfigError"),
         (["bench", "--workers", "-1"], "ConfigError"),
         (["bench", "--workers", "0"], "ConfigError"),
+        # Checked before the capture, which does not exist, is read.
+        (["process", "--workers", "-1"], "ConfigError"),
+        (["process", "--workers", "0"], "ConfigError"),
     ],
     ids=["dest_without_port", "dest_port_too_big", "listen_port_too_big",
          "listen_window_zero", "replay_seed_negative", "replay_loss_negative",
          "replay_loss_above_one", "replay_reorder_negative", "listen_idle_timeout_negative",
          "listen_frames_negative", "listen_frames_zero_before_bind",
          "listen_idle_timeout_inf_before_bind", "listen_idle_timeout_huge_before_bind",
-         "bench_workers_negative", "bench_workers_zero"],
+         "bench_workers_negative", "bench_workers_zero", "process_workers_negative",
+         "process_workers_zero"],
 )
 def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
     # The row's own arguments go last: argparse keeps the last value of a flag.
@@ -726,6 +730,8 @@ def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
     if argv[0] == "listen":
         defaults += ["--out", str(tmp_path / "live"), "--frames", "1",
                      "--idle-timeout-s", "0.1"]
+    if argv[0] == "process":
+        defaults += ["--in", str(tmp_path / "missing.orad"), "--out", str(tmp_path / "out")]
     argv = argv[:1] + defaults + argv[1:]
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -97,6 +97,19 @@ def test_range_processing_scalar_linearity(c0):
     assert np.allclose(b, 3.5 * a, rtol=1e-12, atol=1e-9)
 
 
+def test_range_processing_start_needs_out():
+    # Rows before `start` are taken as done in `out`; a new array holds none.
+    cfg = small_config(num_tx=2, num_rx=2, chirps=4, samples=16)  # 8 chirps
+    cube = synthesize_frame(cfg, [PointTarget(12.0, 1.0, 5.0)], NO_NOISE)
+    with pytest.raises(ValueError, match="start=3 needs out="):
+        range_processing(cube, WindowKind.HANN, start=3)
+    out = range_processing(cube, WindowKind.HANN)
+    ahead = out.copy()
+    ahead[3:] = 0
+    assert range_processing(cube, WindowKind.HANN, out=ahead, start=3) is ahead
+    assert np.array_equal(ahead, out)
+
+
 @pytest.mark.parametrize("kind", list(WindowKind))
 def test_on_grid_peak_bin_recovery_all_windows(c0, kind):
     dp = derived_params(c0)
