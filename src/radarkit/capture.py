@@ -14,11 +14,11 @@ int16 I then int16 Q, little-endian. This matches the DataCube axis order, so
 (I, Q) pairs that shares the bytes' memory. The range stage casts them to
 complex as it windows them.
 
-Live, ``CaptureListener.frames`` reads the socket in the calling thread and
-copies each frame's bytes, as they are reassembled, into a buffer of exactly
-the frame's size. Reassembled bytes never change, so the whole chirp rows
-they complete are final: while it waits for a frame, ``frames`` reports them
-to the caller, which can run the range stage on them before it is complete.
+Live, ``CaptureListener`` copies each frame's bytes, as they are
+reassembled, into a buffer of exactly the frame's size. Reassembled bytes
+never change, so the whole chirp rows they complete are final: the listener
+reports them, for the frame in progress, to a consumer waiting for that
+frame, which can run the range stage on them before the frame is complete.
 
 Capture file layout:
 
@@ -33,9 +33,9 @@ import collections
 import contextlib
 import json
 import os
-import select
 import socket
 import struct
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -392,24 +392,24 @@ def _frames(path, data_offset: int, header: CaptureFileHeader) -> Iterator[DataC
             yield deinterleave(_read_exact(f, per_frame, f"frame {i}"), header.config, i)
 
 
+_END = object()  # queued last, when the listener thread ends
 _QUEUE_FRAMES = 64  # completed frames held for the consumer before drop-oldest
 _ROW_STEPS = 16  # the final rows of a frame in progress are reported in 16ths of it
-_QUIET_S = 0.2  # silence after which gaps are given up (PacketReassembler.flush_quiet)
-# Datagrams read, at most, before each frame is yielded: 4 x the 3640 (of 1456
-# bytes) an 8 MiB receive buffer held, as more arrive while a full one is read.
-_DRAIN_DATAGRAMS = 4 * 3640
 
 
 class _FrameStream:
     """Datagrams in, complete frames out: ``CaptureListener`` without its
-    socket. Here ``_recv``, where ``frames`` reads, never has a datagram;
-    they are given with ``_receive`` instead.
+    socket and thread, which ``_receive`` each datagram and ``_end`` the
+    stream.
 
     Each frame's bytes are copied, as they are reassembled, into a buffer of
     exactly the frame's size, which becomes the frame's cube without a copy
     once it is full. Completed frames wait in a queue of at most 64 frames
     with a drop-oldest backpressure policy (``frames_dropped_backpressure``
-    counts casualties).
+    counts casualties). Bytes the reassembler has emitted never change, so
+    the chirp rows they complete are final; ``frames`` reports them for the
+    frame in progress, in steps of a 16th of its chirps, to a consumer
+    waiting for that frame.
     """
 
     def __init__(self, cfg: RadarConfig, window: int):
@@ -419,47 +419,25 @@ class _FrameStream:
         self._step_rows = -(-cfg.chirps_per_frame // _ROW_STEPS)
         self._reassembler = PacketReassembler(window)
         self._frame = bytearray(self._frame_bytes)  # the frame in progress
-        self._filled = self._rows_reported = 0
+        self._filled = 0
+        self._rows_reported = 0
         self._frame_index = 0
         self._last_report = DropReport()
         self.frames_dropped_backpressure = 0
-        self._queue: collections.deque = collections.deque(maxlen=_QUEUE_FRAMES)
-        # (frame in progress, its final chirp rows), or None while none are.
+        # Shared with the consumer under _ready: completed (cube, report)
+        # items, then _END; and (frame in progress, final chirp rows), or
+        # None while none of its rows are reported.
+        self._ready = threading.Condition()
+        self._queue: collections.deque = collections.deque()
         self._progress: Optional[tuple[bytearray, int]] = None
-        self._quiet_at = time.monotonic() + _QUIET_S
-        self._ended = False
         self._error: Optional[Exception] = None
 
-    def _recv(self, timeout: float) -> Optional[bytes]:
-        """The next datagram, or None if none arrives within ``timeout`` s."""
-        time.sleep(timeout)
-        return None
-
     def _receive(self, datagram: bytes):
-        self._quiet_at = time.monotonic() + _QUIET_S
         self._ingest(self._reassembler.feed(CapturePacket.decode(datagram)))
 
-    def _read(self, timeout: float, limit: int = _DRAIN_DATAGRAMS):
-        """Receive up to ``limit`` datagrams, waiting at most ``timeout`` s for
-        the first, then give the gaps up if none has arrived for 0.2 s. An
-        error ends the stream."""
-        if self._ended:
-            return
-        try:
-            for _ in range(limit):
-                if (datagram := self._recv(timeout)) is None:
-                    break
-                self._receive(datagram)
-                timeout = 0.0
-            if time.monotonic() >= self._quiet_at:
-                self._quiet_at = time.monotonic() + _QUIET_S
-                self._ingest(self._reassembler.flush_quiet())
-        except (TransportError, OSError) as e:
-            self._end(e)
-
     def _ingest(self, data: bytearray):
-        """Copy reassembled bytes into the frame in progress, queueing each
-        frame as it fills, then note that frame's final rows."""
+        """Copy reassembled bytes into the frame in progress, handing each
+        frame over as it fills, then report that frame's final rows."""
         data = memoryview(data)
         while data:
             n = min(len(data), self._frame_bytes - self._filled)
@@ -471,23 +449,32 @@ class _FrameStream:
         rows = self._filled // self._row_bytes // self._step_rows * self._step_rows
         if rows > self._rows_reported:
             self._rows_reported = rows
-            self._progress = (self._frame, rows)
+            with self._ready:
+                self._progress = (self._frame, rows)
+                self._ready.notify()
 
     def _hand_over(self):
+        cube = deinterleave(self._frame, self.cfg, self._frame_index)
         report = self._reassembler.report
-        if len(self._queue) == self._queue.maxlen:
-            self.frames_dropped_backpressure += 1  # the append evicts the oldest
-        self._queue.append((deinterleave(self._frame, self.cfg, self._frame_index),
-                            report - self._last_report))
+        item = (cube, report - self._last_report)
         self._last_report = report
         self._frame_index += 1
         self._frame = bytearray(self._frame_bytes)
         self._filled = self._rows_reported = 0
-        self._progress = None
+        with self._ready:
+            while len(self._queue) >= _QUEUE_FRAMES:
+                self._queue.popleft()
+                self.frames_dropped_backpressure += 1
+            self._queue.append(item)
+            self._progress = None
+            self._ready.notify()
 
     def _end(self, error: Optional[Exception] = None):
-        """End the stream after the frames queued, with its first error."""
-        self._ended, self._error = True, self._error or error
+        """Queue the end of the stream, after which ``frames`` raises ``error``."""
+        with self._ready:
+            self._error = error
+            self._queue.append(_END)
+            self._ready.notify()
 
     def frames(
         self,
@@ -497,54 +484,65 @@ class _FrameStream:
     ) -> Iterator[tuple[DataCube, DropReport]]:
         """Yield (cube, per-frame DropReport) until a limit or idle timeout.
 
-        Datagrams are read in the calling thread. While no frame is queued,
-        it waits for them, at most ``idle_timeout_s`` per frame, and calls
-        ``on_rows(buffer, rows)`` whenever more chirp rows of the frame in
-        progress are final, in steps of a 16th of its chirps: ``buffer`` is
-        the bytearray that becomes that frame's cube (as ``deinterleave``
-        views it), and its first ``rows`` chirp rows will not change. Once
-        none has arrived for 0.2 s, the gaps are given up (``flush_quiet``),
-        which delivers a stream's last frame. Before a frame is yielded, the
-        datagrams already received are read, at most 14560, so a burst waits
-        in frames, not in the socket. Once the stream has ended, the frames
-        queued are yielded, then its error, if any, is raised, by this call
-        and by every later one.
+        The idle timeout is the longest wait for one frame. While no frame
+        is queued, ``on_rows(buffer, rows)`` is called in the calling thread
+        whenever more chirp rows of the frame in progress are final:
+        ``buffer`` is the bytearray that becomes that frame's cube (as
+        ``deinterleave`` views it), and its first ``rows`` chirp rows will
+        not change. Also stops once the stream has ended, raising the error
+        that ended it, if any.
         """
         yielded = 0
         seen = None  # the progress last passed to on_rows
+
+        def ready() -> bool:
+            progress = self._progress
+            return bool(self._queue) or (
+                on_rows is not None and progress is not None and progress is not seen)
+
         while max_frames is None or yielded < max_frames:
-            deadline = time.monotonic() + (
-                float("inf") if idle_timeout_s is None else idle_timeout_s)
-            while not self._queue:
-                if self._ended:
-                    if self._error is not None:
-                        raise self._error
-                    return
-                progress = self._progress
-                if on_rows is not None and progress is not None and progress is not seen:
-                    seen = progress
-                    on_rows(*progress)
-                now = time.monotonic()
-                if now >= deadline:
-                    return  # idle timeout
-                self._read(max(0.0, min(deadline, self._quiet_at) - now))
-            self._read(0.0)
-            yield self._queue.popleft()
+            deadline = None if idle_timeout_s is None else time.monotonic() + idle_timeout_s
+            while True:
+                with self._ready:
+                    left = None if deadline is None else max(0.0, deadline - time.monotonic())
+                    if not self._ready.wait_for(ready, left):
+                        return  # idle timeout
+                    if self._queue:
+                        item = self._queue[0]
+                        if item is not _END:  # _END stays for any later call
+                            self._queue.popleft()
+                        break
+                    seen = self._progress
+                on_rows(*seen)
+            if item is _END:
+                if self._error is not None:
+                    raise self._error
+                return
+            yield item
             yielded += 1
 
 
 class CaptureListener(_FrameStream):
-    """UDP receiver turning datagrams into complete frames.
+    """Background UDP receiver turning datagrams into complete frames.
 
-    Binds a UDP socket whose datagrams ``frames`` reads and reassembles into
-    frames, in the calling thread, as ``_FrameStream`` describes; ``stop``
-    closes it. An error that ends the stream (a short datagram, a
+    Runs as a daemon thread that reassembles datagrams into frames as
+    ``_FrameStream`` describes; take them with ``frames`` and end the thread
+    with ``stop``. 0.2 s of silence gives gaps up
+    (``PacketReassembler.flush_quiet``), which delivers a stream's last
+    frame. An error that ends the thread (a short datagram, a
     ``byte_offset`` the stream contradicts) is raised by ``frames`` once the
-    frames completed before it have been yielded. Use it from one thread.
+    frames completed before it have been yielded.
     """
 
-    def __init__(self, port: int, cfg: RadarConfig, window: int, host: str = "0.0.0.0"):
+    def __init__(
+        self,
+        port: int,
+        cfg: RadarConfig,
+        window: int,
+        host: str = "0.0.0.0",
+    ):
         super().__init__(cfg, window)
+        self._stop = threading.Event()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 23)
@@ -552,26 +550,33 @@ class CaptureListener(_FrameStream):
         except (OSError, OverflowError) as e:
             self._sock.close()
             raise BindError(f"cannot bind UDP {host}:{port}: {e}") from e
-        self._sock.setblocking(False)
+        self._sock.settimeout(0.2)
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
 
     @property
     def port(self) -> int:
         return self._sock.getsockname()[1]
 
-    def _recv(self, timeout: float) -> Optional[bytes]:
+    def _run(self):
+        error = None
         try:
-            return self._sock.recv(65536)
-        except BlockingIOError:
-            select.select((self._sock,), (), (), timeout)
-        try:
-            return self._sock.recv(65536)
-        except BlockingIOError:  # none came, or the kernel dropped what select saw
-            return None
+            while not self._stop.is_set():
+                try:
+                    datagram = self._sock.recv(65536)
+                except socket.timeout:
+                    self._ingest(self._reassembler.flush_quiet())
+                    continue
+                except OSError:
+                    break
+                self._receive(datagram)
+            self._ingest(self._reassembler.flush_quiet())
+        except Exception as e:
+            error = e
+        finally:
+            self._sock.close()
+            self._end(error)
 
     def stop(self):
-        """Close the socket, give the gaps up and end the stream: ``frames``
-        then yields the frames queued, the last one included."""
-        self._sock.close()
-        self._quiet_at = 0.0  # as after a silence: read nothing, give the gaps up
-        self._read(0.0, 0)
-        self._end()
+        self._stop.set()
+        self._thread.join(timeout=5.0)

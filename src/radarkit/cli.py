@@ -3,11 +3,10 @@
 ``process`` and ``listen`` differ only in their frame source: both run
 ``_run``, which processes the frames through ``iter_pipeline``, writes them
 in frame order on one writer thread and writes ``run_manifest.json`` after
-the last frame. ``listen`` reads its socket on the main thread, in
-``CaptureListener.frames``, between the frames it processes; while it waits
-for a frame, it range-processes the frame's chirp rows that are final
-(``pipeline.range_ahead``). Every failure, a failed write included, ends
-the command with exit code 1 and a single-line JSON error object on stderr, e.g.
+the last frame. While ``listen`` waits for a frame, it range-processes the
+frame's chirp rows that are final (``pipeline.range_ahead``). Every
+failure, a failed write included, ends the command with exit code 1 and a
+single-line JSON error object on stderr, e.g.
 {"error": "FormatError", "message": "bad magic ..."}.
 """
 
