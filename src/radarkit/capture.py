@@ -14,11 +14,13 @@ int16 I then int16 Q, little-endian. This matches the DataCube axis order, so
 (I, Q) pairs that shares the bytes' memory. The range stage casts them to
 complex as it windows them.
 
-Live, ``CaptureListener`` copies each frame's bytes, as they are
-reassembled, into a buffer of exactly the frame's size. Reassembled bytes
-never change, so the whole chirp rows they complete are final: the listener
-reports them, for the frame in progress, to a consumer waiting for that
-frame, which can run the range stage on them before the frame is complete.
+Live, each frame is one ``DataCube`` from its first byte: ``CaptureListener``
+makes it, by ``deinterleave``, of a buffer of exactly the frame's size when
+the frame starts, and copies the frame's bytes into that buffer as they are
+reassembled. Reassembled bytes never change, so the whole chirp rows they
+complete are final: the listener reports them with the frame's cube to a
+consumer waiting for that frame, which can run the range stage on them
+before the frame is complete, and hands the same cube over once it is.
 
 Capture file layout:
 
@@ -392,7 +394,6 @@ def _frames(path, data_offset: int, header: CaptureFileHeader) -> Iterator[DataC
             yield deinterleave(_read_exact(f, per_frame, f"frame {i}"), header.config, i)
 
 
-_END = object()  # queued last, when the listener thread ends
 _QUEUE_FRAMES = 64  # completed frames held for the consumer before drop-oldest
 _ROW_STEPS = 16  # the final rows of a frame in progress are reported in 16ths of it
 
@@ -402,9 +403,10 @@ class _FrameStream:
     socket and thread, which ``_receive`` each datagram and ``_end`` the
     stream.
 
-    Each frame's bytes are copied, as they are reassembled, into a buffer of
-    exactly the frame's size, which becomes the frame's cube without a copy
-    once it is full. Completed frames wait in a queue of at most 64 frames
+    Each frame is a cube (``deinterleave``) of a buffer of exactly the
+    frame's size from the moment the frame starts; its bytes are copied into
+    the buffer as they are reassembled, and the cube is handed over once the
+    buffer is full. Completed frames wait in a queue of at most 64 frames
     with a drop-oldest backpressure policy (``frames_dropped_backpressure``
     counts casualties). Bytes the reassembler has emitted never change, so
     the chirp rows they complete are final; ``frames`` reports them for the
@@ -418,19 +420,24 @@ class _FrameStream:
         self._row_bytes = self._frame_bytes // cfg.chirps_per_frame
         self._step_rows = -(-cfg.chirps_per_frame // _ROW_STEPS)
         self._reassembler = PacketReassembler(window)
-        self._frame = bytearray(self._frame_bytes)  # the frame in progress
-        self._filled = 0
-        self._rows_reported = 0
-        self._frame_index = 0
+        self._start_frame(0)
         self._last_report = DropReport()
         self.frames_dropped_backpressure = 0
         # Shared with the consumer under _ready: completed (cube, report)
-        # items, then _END; and (frame in progress, final chirp rows), or
-        # None while none of its rows are reported.
+        # items; (cube of the frame in progress, final chirp rows), or None
+        # while none of its rows are reported; whether the stream has ended,
+        # and with which error.
         self._ready = threading.Condition()
         self._queue: collections.deque = collections.deque()
-        self._progress: Optional[tuple[bytearray, int]] = None
+        self._progress: Optional[tuple[DataCube, int]] = None
+        self._ended = False
         self._error: Optional[Exception] = None
+
+    def _start_frame(self, frame_index: int):
+        """Begin a frame: an empty exact-size buffer and its cube."""
+        self._frame = bytearray(self._frame_bytes)
+        self._cube = deinterleave(self._frame, self.cfg, frame_index)
+        self._filled = self._rows_reported = 0
 
     def _receive(self, datagram: bytes):
         self._ingest(self._reassembler.feed(CapturePacket.decode(datagram)))
@@ -450,17 +457,13 @@ class _FrameStream:
         if rows > self._rows_reported:
             self._rows_reported = rows
             with self._ready:
-                self._progress = (self._frame, rows)
+                self._progress = (self._cube, rows)
                 self._ready.notify()
 
     def _hand_over(self):
-        cube = deinterleave(self._frame, self.cfg, self._frame_index)
         report = self._reassembler.report
-        item = (cube, report - self._last_report)
+        item = (self._cube, report - self._last_report)
         self._last_report = report
-        self._frame_index += 1
-        self._frame = bytearray(self._frame_bytes)
-        self._filled = self._rows_reported = 0
         with self._ready:
             while len(self._queue) >= _QUEUE_FRAMES:
                 self._queue.popleft()
@@ -468,36 +471,37 @@ class _FrameStream:
             self._queue.append(item)
             self._progress = None
             self._ready.notify()
+        self._start_frame(self._cube.frame_index + 1)
 
     def _end(self, error: Optional[Exception] = None):
-        """Queue the end of the stream, after which ``frames`` raises ``error``."""
+        """End the stream: ``frames`` yields what is queued, then raises ``error``."""
         with self._ready:
+            self._ended = True
             self._error = error
-            self._queue.append(_END)
             self._ready.notify()
 
     def frames(
         self,
         max_frames: Optional[int] = None,
         idle_timeout_s: Optional[float] = None,
-        on_rows: Optional[Callable[[bytearray, int], None]] = None,
+        on_rows: Optional[Callable[[DataCube, int], None]] = None,
     ) -> Iterator[tuple[DataCube, DropReport]]:
         """Yield (cube, per-frame DropReport) until a limit or idle timeout.
 
         The idle timeout is the longest wait for one frame. While no frame
-        is queued, ``on_rows(buffer, rows)`` is called in the calling thread
+        is queued, ``on_rows(cube, rows)`` is called in the calling thread
         whenever more chirp rows of the frame in progress are final:
-        ``buffer`` is the bytearray that becomes that frame's cube (as
-        ``deinterleave`` views it), and its first ``rows`` chirp rows will
-        not change. Also stops once the stream has ended, raising the error
-        that ended it, if any.
+        ``cube`` is that frame's cube, the one this later yields, and its
+        first ``rows`` chirp rows will not change. Also stops once the
+        stream has ended and its frames are yielded, raising the error that
+        ended it, if any, on this and every later call.
         """
         yielded = 0
         seen = None  # the progress last passed to on_rows
 
         def ready() -> bool:
             progress = self._progress
-            return bool(self._queue) or (
+            return bool(self._queue) or self._ended or (
                 on_rows is not None and progress is not None and progress is not seen)
 
         while max_frames is None or yielded < max_frames:
@@ -508,16 +512,14 @@ class _FrameStream:
                     if not self._ready.wait_for(ready, left):
                         return  # idle timeout
                     if self._queue:
-                        item = self._queue[0]
-                        if item is not _END:  # _END stays for any later call
-                            self._queue.popleft()
+                        item = self._queue.popleft()
                         break
+                    if self._ended:
+                        if self._error is not None:
+                            raise self._error
+                        return
                     seen = self._progress
                 on_rows(*seen)
-            if item is _END:
-                if self._error is not None:
-                    raise self._error
-                return
             yield item
             yielded += 1
 
@@ -530,7 +532,8 @@ class CaptureListener(_FrameStream):
     with ``stop``. 0.2 s of silence gives gaps up
     (``PacketReassembler.flush_quiet``), which delivers a stream's last
     frame. An error that ends the thread (a short datagram, a
-    ``byte_offset`` the stream contradicts) is raised by ``frames`` once the
+    ``byte_offset`` the stream contradicts, a socket that fails after the
+    quiet flush of what it delivered) is raised by ``frames`` once the
     frames completed before it have been yielded.
     """
 
@@ -567,7 +570,8 @@ class CaptureListener(_FrameStream):
                 except socket.timeout:
                     self._ingest(self._reassembler.flush_quiet())
                     continue
-                except OSError:
+                except OSError as e:  # the socket failed: flush, then end with its error
+                    error = e
                     break
                 self._receive(datagram)
             self._ingest(self._reassembler.flush_quiet())

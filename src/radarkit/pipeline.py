@@ -30,11 +30,11 @@ since the writer encodes it while the next frame runs. Nothing in a
 
 A frame still arriving can be range-processed ahead: ``range_ahead`` runs
 the range stage (cast, window, FFT, by the kernel ``process_frame`` uses)
-on the chirp rows of a frame's buffer that are final, into the thread's
-cube buffer. ``process_frame`` of that frame, on the same thread, then
-runs the range stage only on the rows after them, and its ``range_fft``
-time counts only those. The rows done are tied to the buffer they were
-read from, never to a frame index, and are used by the next frame
+on the chirp rows of a frame's cube that are final, into the thread's cube
+buffer. ``process_frame`` of that cube, on the same thread, then runs the
+range stage only on the rows after them, and its ``range_fft`` time counts
+only those. The rows done are tied to the cube object they were read from,
+never to a frame index or to the bytes, and are used by the next frame
 processed or not at all. ``listen`` calls ``range_ahead`` while it waits
 for a frame; ``process`` does not, so its frames run the whole chain.
 """
@@ -61,7 +61,6 @@ from . import __version__
 from .aoa import MAX_ANGLE_BINS, AoaMethod, AoaPlan, aoa_plan, estimate_angles
 from .capture import DropReport
 from .core import (
-    WIRE_DTYPE,
     ConfigError,
     DataCube,
     RadarConfig,
@@ -243,46 +242,35 @@ def _workspace(shape: tuple[int, ...], map_shape: tuple[int, int]):
     return buffers
 
 
-def range_ahead(cfg: PipelineConfig, frame, rows: int) -> None:
+def range_ahead(cfg: PipelineConfig, cube: DataCube, rows: int) -> None:
     """Range-process the first ``rows`` chirp rows of a frame still arriving.
 
-    ``frame`` is the buffer that will hold the frame's wire bytes, of which
-    the first ``rows`` chirp rows are final and never change. Their range
-    FFT goes into this thread's cube buffer, as ``process_frame`` computes
-    it; rows done by an earlier call for the same buffer are not done
-    again. ``process_frame`` of a cube that views the same bytes, on this
-    thread, then does only the rows after them. Rows done are kept for one
-    buffer at a time, which they hold by reference; the next frame that
-    ``process_frame`` runs, or a call for another buffer, discards them.
+    ``cube`` is the frame's cube, of which the first ``rows`` chirp rows are
+    final and never change. Their range FFT goes into this thread's cube
+    buffer, as ``process_frame`` computes it; rows done by an earlier call
+    for the same cube are not done again. ``process_frame`` of that cube, on
+    this thread, then does only the rows after them. Rows done are kept for
+    one cube at a time, which they hold by reference; the next frame that
+    ``process_frame`` runs, or a call for another cube, discards them.
     """
     radar = cfg.radar
-    shape = (radar.chirps_per_frame, radar.num_rx, radar.samples_per_chirp)
-    buf = _workspace(shape, (radar.chirps_per_frame_per_tx, radar.samples_per_chirp))[0]
-    ahead = _thread.ahead
-    if ahead is not None and ahead[0] is frame and ahead[2] is cfg.range_window:
-        _, pairs, _, done = ahead
-    else:
-        pairs, done = np.frombuffer(frame, WIRE_DTYPE).reshape(*shape, 2), 0
+    buf = _workspace(cube.shape, (radar.chirps_per_frame_per_tx, radar.samples_per_chirp))[0]
+    done = _rows_done(cube, cfg.range_window)
     if rows > done:
         w = _shared_window(cfg.range_window, radar.samples_per_chirp)
-        _range_rows(pairs[done:rows], w, buf[done:rows])
+        _range_rows(cube.iq[done:rows], w, buf[done:rows])
         done = rows
-    _thread.ahead = (frame, pairs, cfg.range_window, done)
+    _thread.ahead = (cube, cfg.range_window, done)
 
 
 def _rows_done(cube: DataCube, window_kind: WindowKind) -> int:
     """Chirp rows of ``cube`` that ``range_ahead`` left in this thread's cube
-    buffer: those done for the same bytes under the same window, else 0.
+    buffer: those done for this very cube under the same window, else 0.
     Rows done ahead are used once. Call it after ``_workspace``."""
     ahead, _thread.ahead = _thread.ahead, None
-    if ahead is None:
+    if ahead is None or ahead[0] is not cube or ahead[1] is not window_kind:
         return 0
-    _, pairs, kind, done = ahead
-    # The record holds the buffer, so no other buffer can have its address.
-    same_bytes = (pairs.shape == cube.iq.shape and pairs.dtype == cube.iq.dtype
-                  and pairs.__array_interface__["data"][0]
-                  == cube.iq.__array_interface__["data"][0])
-    return done if same_bytes and kind is window_kind else 0
+    return ahead[2]
 
 
 _STAGES = ("range_fft", "doppler_fft", "power_map", "cfar_2d", "group_peaks", "aoa",
@@ -383,24 +371,25 @@ def write_frame_outputs(out_dir, result: FrameResult) -> None:
     write_power_map_pgm(result.power_map_db, out / f"frame_{i}_rd.pgm")
 
 
+def _write_json_file(path: Path, value) -> None:
+    """``value`` as indented, key-sorted JSON text and a newline; makes the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(value, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def write_drop_reports(out_dir, reports: Sequence[tuple[int, DropReport]]) -> None:
     """drops.json: per-frame loss accounting from (frame index, report) pairs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = [
+    _write_json_file(Path(out_dir) / "drops.json", [
         {"frame": frame_index, **dataclasses.asdict(report)}
         for frame_index, report in reports
-    ]
-    with open(out / "drops.json", "w", encoding="utf-8") as f:
-        json.dump(entries, f, indent=2, sort_keys=True)
-        f.write("\n")
+    ])
 
 
 def write_run_manifest(out_dir, cfg: PipelineConfig) -> None:
     """run_manifest.json: config hash, seed and versions for reproducibility."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    _write_json_file(Path(out_dir) / "run_manifest.json", {
         "config_sha256": cfg.config_sha256(),
         "seed": cfg.seed,
         "versions": {
@@ -408,7 +397,4 @@ def write_run_manifest(out_dir, cfg: PipelineConfig) -> None:
             "numpy": np.__version__,
             "radarkit": __version__,
         },
-    }
-    with open(out / "run_manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })

@@ -142,6 +142,13 @@ def test_covariance_loading_adds_scaled_identity():
     r = covariance(snaps, loading=0.01)
     add = 0.01 * np.trace(r0.matrix).real / 4
     assert np.allclose(r.matrix, r0.matrix + add * np.eye(4))
+    with pytest.raises(ValueError, match="loading must be >= 0"):
+        covariance(snaps, loading=-1)
+
+
+def test_angle_spectrum_lengths_must_match():
+    with pytest.raises(ValueError, match="same length"):
+        AngleSpectrum(np.arange(3.0), np.ones(4))
 
 
 def test_covariance_hermitian_psd():

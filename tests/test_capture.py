@@ -518,6 +518,36 @@ def test_listen_delivers_the_stream_end():
     assert sum(rep.packets_dropped for _, rep in received) == 1
 
 
+def test_a_socket_error_ends_the_stream_after_its_frames():
+    # Frame 1's lost packet is among its last `window` seqs, so only the
+    # quiet flush gives it up; the socket then fails under the running
+    # listener, which must not pass for a sender that stopped.
+    cfg = small_config(num_tx=2, num_rx=2, chirps=16, samples=64)
+    rng = np.random.default_rng(15)
+    cubes = [DataCube(random_int_cube_data(rng, cfg), i, cfg) for i in range(2)]
+    packets = packetize(cubes, payload_bytes=1456)
+    lost = packets[-2]
+    listener = CaptureListener(0, cfg, window=4, host="127.0.0.1")
+    try:
+        _send_packets([p for p in packets if p is not lost], listener.port)
+        frames = listener.frames(idle_timeout_s=5.0)
+        assert next(frames)[0].iq.tobytes() == serialize_cube(cubes[0])
+        # Datagrams still in the socket when it closes are lost with it.
+        deadline = time.monotonic() + 5.0
+        while (listener._reassembler.report.packets_received < len(packets) - 1
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        listener._sock.close()
+        second, report = next(frames)
+        assert second.frame_index == 1 and report.packets_dropped == 1
+        with pytest.raises(OSError):
+            next(frames)
+        with pytest.raises(OSError):
+            list(listener.frames(idle_timeout_s=5.0))
+    finally:
+        listener.stop()
+
+
 def test_listener_rejects_an_absurd_byte_offset():
     cfg = small_config()
     listener = CaptureListener(0, cfg, window=2, host="127.0.0.1")
@@ -631,8 +661,8 @@ def test_final_rows_are_reported_in_steps_while_a_frame_arrives():
     stream = radarkit.capture._FrameStream(cfg, window=4)
     calls = []
 
-    def on_rows(buf, rows):
-        calls.append((buf, rows, bytes(buf[:rows * 64])))
+    def on_rows(seen, rows):
+        calls.append((seen, rows, seen.iq.tobytes()[:rows * 64]))
 
     # Seq 5 comes last: the rows behind it are final only once it arrives.
     for pkt in pkts[:5] + pkts[6:12]:
@@ -647,7 +677,6 @@ def test_final_rows_are_reported_in_steps_while_a_frame_arrives():
         stream._receive(pkt.encode())
         got += stream.frames(idle_timeout_s=0, on_rows=on_rows)
     assert [c.iq.tobytes() for c, _ in got] == [sent]
-    buf = _frame_buffer(got[0][0])
-    for seen_buf, rows, head in calls:
+    for seen, rows, head in calls:
         assert rows % 2 == 0 and 0 < rows < 32
-        assert seen_buf is buf and head == sent[:rows * 64]
+        assert seen is got[0][0] and head == sent[:rows * 64]

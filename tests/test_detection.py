@@ -103,6 +103,8 @@ def test_cfar_window_must_fit():
         ca_cfar_1d(np.ones(16), CfarParams(guard_cells=2, train_cells=6))
     with pytest.raises(WindowError):
         ca_cfar_1d(np.ones((4, 4)), CfarParams())  # not 1-d
+    with pytest.raises(WindowError, match="expected a 2-d map, got 1-d"):
+        cfar_2d(np.ones(32), CfarParams(), CfarParams())
 
 
 def test_cfar_empirical_false_alarm_rate_quick():
@@ -405,6 +407,11 @@ def test_log_gabor_linearity():
 def test_log_gabor_param_errors(f0, sigma):
     with pytest.raises(ParamError):
         log_gabor_filter(np.zeros((8, 8)), f0, sigma)
+
+
+def test_log_gabor_needs_a_2d_map():
+    with pytest.raises(ParamError, match="expected a 2-d map, got 1-d"):
+        log_gabor_filter(np.ones(32), 0.1, 0.5)
 
 
 def _det(range_bin, doppler_bin, power):

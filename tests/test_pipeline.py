@@ -561,6 +561,39 @@ def test_cli_listen_thread_error_is_one_json_line(tmp_path, capsys, datagram,
     assert json.loads(lines[0])["error"] == "TransportError"
 
 
+def test_cli_listen_socket_error_is_one_json_line(tmp_path, monkeypatch, capsys):
+    # The socket fails once frame 0 is written: listen exits 1, not as if
+    # the sender had stopped, and writes neither drops.json nor the manifest.
+    listeners = []
+    init = CaptureListener.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        listeners.append(self)
+
+    def send(capture_path, port):
+        _, cubes = read_capture_file(capture_path)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for pkt in packetize([next(cubes)]):
+                sock.sendto(pkt.encode(), ("127.0.0.1", port))
+        for _ in range(300):
+            if (out_dir / "frame_0_rd.pgm").exists():
+                break
+            time.sleep(0.05)
+        listeners[-1]._sock.close()
+
+    monkeypatch.setattr(CaptureListener, "__init__", recording_init)
+    out_dir = tmp_path / "live"
+    code, _ = _listen_to_replay(tmp_path, monkeypatch, out_dir, send=send)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "OSError"
+    assert (out_dir / "frame_0_rd.pgm").is_file()
+    assert not (out_dir / "drops.json").exists()
+    assert not (out_dir / "run_manifest.json").exists()
+
+
 def _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=3, listen_args=(),
                       replay_args=(), send=None) -> tuple[int, int]:
     """Run ``listen`` for ``n_frames`` frames on a thread, replay that many
@@ -739,18 +772,45 @@ def test_cli_bad_network_args_are_one_json_line(tmp_path, capsys, argv, error):
     assert json.loads(lines[0])["error"] == error
 
 
-def test_scene_unknown_keys_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "n_frames,edit,error",
+    [
+        (1, lambda scene: scene["frames"][0]["targets"][0].update(rcs=1.0), "ConfigError"),
+        (1, lambda scene: scene["frames"][0].update(frame=1), "SimError"),
+        (2, lambda scene: scene["frames"][1].update(frame=0), "SimError"),
+        (1, lambda scene: scene.update(frames={}), "ConfigError"),
+    ],
+    ids=["unknown_target_key", "frame_outside_n_frames", "frame_listed_twice",
+         "frames_not_a_list"],
+)
+def test_bad_scene_is_one_json_line_and_writes_no_capture(tmp_path, capsys, n_frames, edit,
+                                                          error):
     cfg_path = tmp_path / "pipeline.json"
     scene_path = tmp_path / "scene.json"
     _write_json(cfg_path, pipeline_dict())
-    bad_scene = scene_dict(n_frames=1)
-    bad_scene["frames"][0]["targets"][0]["rcs"] = 1.0
+    bad_scene = scene_dict(n_frames=n_frames)
+    edit(bad_scene)
     _write_json(scene_path, bad_scene)
+    out = tmp_path / "c.orad"
     code = main(["simulate", "--config", str(cfg_path), "--scene", str(scene_path),
-                 "--out", str(tmp_path / "c.orad")])
+                 "--out", str(out)])
     assert code == 1
-    err = json.loads(capsys.readouterr().err.strip())
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert not out.exists()
+
+
+def test_cli_listen_without_an_output_directory_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "pipeline.json"
+    _write_json(cfg_path, pipeline_dict())
+    assert main(["listen", "--config", str(cfg_path), "--port", "0", "--frames", "1",
+                 "--idle-timeout-s", "0.1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
     assert err["error"] == "ConfigError"
+    assert err["message"].startswith("no output directory")
 
 
 AHEAD_RADAR = small_config(num_tx=2, num_rx=4, chirps=32, samples=64)  # 64 rows of 1 KiB
@@ -793,13 +853,14 @@ def test_rows_done_ahead_give_the_complete_frame_result(gap, data):
     row = len(frame) // 64
     marks = sorted(data.draw(st.lists(st.integers(0, 64 * row - 1), max_size=5)))
     buf = bytearray(len(frame))
+    cube = deinterleave(buf, AHEAD_RADAR, 0)
     for arrived in marks:  # bytes in, at any byte; only whole rows are final
         buf[:arrived] = frame[:arrived]
-        radarkit.pipeline.range_ahead(cfg, buf, arrived // row)
+        radarkit.pipeline.range_ahead(cfg, cube, arrived // row)
     buf[:] = frame
     with mock.patch.object(radarkit.pipeline, "range_processing",
                            wraps=radarkit.pipeline.range_processing) as range_stage:
-        result = process_frame(cfg, deinterleave(buf, AHEAD_RADAR, 0))
+        result = process_frame(cfg, cube)
     assert range_stage.call_args.kwargs["start"] == (marks[-1] // row if marks else 0)
     _assert_same(cfg, result, reference)
 
@@ -816,7 +877,7 @@ def test_rows_done_ahead_stay_with_their_buffer():
     for pkt in packets[:30]:
         a._receive(pkt.encode())
     assert list(a.frames(idle_timeout_s=0, on_rows=ahead)) == []
-    assert radarkit.pipeline._thread.ahead[3] > 0  # rows of a's frame 0 are done
+    assert radarkit.pipeline._thread.ahead[2] > 0  # rows of a's frame 0 are done
     for pkt in packetize(other):
         b._receive(pkt.encode())
     [(cube_b, _)] = b.frames(idle_timeout_s=0, on_rows=ahead)
