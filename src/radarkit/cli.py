@@ -146,6 +146,7 @@ def _cmd_listen(args) -> int:
         listener.stop()
     write_drop_reports(out, list(reports.items()))
     print(f"captured {len(reports)} frames -> {out}")
+    print(f"{listener.frames_dropped_backpressure} frames dropped for backpressure")
     return 0
 
 

@@ -14,29 +14,35 @@ byte-identically regardless of worker count.
 The range FFT, Doppler FFT and power map run in buffers of the calling
 thread: a complex cube the size of one frame's samples (4 MiB for a 2 TX,
 4 RX, 128-chirp, 256-sample frame) and two float64 (Doppler, range) maps
-(256 KiB each). The frame's (I, Q) pairs, int16 from a capture, are cast
-into the complex cube, then windowed and FFT'd along range and along Doppler
-in place. The Doppler rows stay in FFT order (row b mod N_c holds bin b),
-which angle estimation reads. The power map is accumulated antenna by
-antenna into one map and copied to the centered order that CFAR and the
-outputs see into the other; CFAR runs in its own per-thread buffers. The
-buffers are allocated on a thread's first frame, reused by its later frames
-of the same shape and freed with the thread; ``iter_pipeline`` keeps one
-pool of threads for a whole run. Windows are read-only arrays built once per
-kind and length. After its first frame, a thread allocates nothing
-map-sized but the dB map of the ``FrameResult``, a new array on every frame
-since the writer encodes it while the next frame runs. Nothing in a
-``FrameResult`` refers to the buffers.
+(256 KiB each). The cube is antenna-major, (virtual_rx, slow_time, range):
+each virtual antenna's (slow, range) plane is one compact block (512 KiB on
+C0), where the chirp-major (chirp, rx, range) order put a Doppler column's
+elements 8 x 256 elements apart. The frame's (I, Q) pairs, int16 from a
+capture, are cast into the cube by one strided copy of their (slow, tx, rx,
+sample) view, then windowed and FFT'd along range and along Doppler in
+place, each step one call over the whole cube. The Doppler rows stay in FFT
+order (row b mod N_c holds bin b); angle estimation reads them through the
+(Doppler, virtual_rx, range) view of the cube. The power map is accumulated
+antenna by antenna from the planes into one map and copied to the centered
+order that CFAR and the outputs see into the other; CFAR runs in its own
+per-thread buffers. The buffers are allocated on a thread's first frame,
+reused by its later frames of the same shape and freed with the thread;
+``iter_pipeline`` keeps one pool of threads for a whole run. Windows are
+read-only arrays built once per kind and length. After its first frame, a
+thread allocates nothing map-sized but the dB map of the ``FrameResult``, a
+new array on every frame since the writer encodes it while the next frame
+runs. Nothing in a ``FrameResult`` refers to the buffers.
 
 A frame still arriving can be range-processed ahead: ``range_ahead`` runs
 the range stage (cast, window, FFT, by the kernel ``process_frame`` uses)
-on the chirp rows of a frame's cube that are final, into the thread's cube
-buffer. ``process_frame`` of that cube, on the same thread, then runs the
-range stage only on the rows after them, and its ``range_fft`` time counts
-only those. The rows done are tied to the cube object they were read from,
-never to a frame index or to the bytes, and are used by the next frame
-processed or not at all. ``listen`` calls ``range_ahead`` while it waits
-for a frame; ``process`` does not, so its frames run the whole chain.
+on the whole slow-time rows (``num_tx`` chirp rows each) of a frame's cube
+that are final, into the thread's cube buffer. ``process_frame`` of that
+cube, on the same thread, then runs the range stage only on the rows after
+them, and its ``range_fft`` time counts only those. The rows done are tied
+to the cube object they were read from, never to a frame index or to the
+bytes, and are used by the next frame processed or not at all. ``listen``
+calls ``range_ahead`` while it waits for a frame; ``process`` does not, so
+its frames run the whole chain.
 """
 
 from __future__ import annotations
@@ -82,10 +88,8 @@ from .rangedoppler import (
     WindowKind,
     _accumulate,
     _center_rows,
-    _doppler_fft,
     _range_rows,
     _shared_window,
-    range_processing,
     to_db,
     write_power_map_csv,
     write_power_map_pgm,
@@ -230,35 +234,54 @@ class FrameResult:
 _thread = threading.local()
 
 
-def _workspace(shape: tuple[int, ...], map_shape: tuple[int, int]):
-    """This thread's work buffers: a complex128 cube of ``shape`` and two
-    float64 (Doppler, range) maps of ``map_shape``; replaced only when a
-    frame of another shape arrives, which discards any rows done ahead."""
+def _workspace(cube: DataCube, num_tx: int):
+    """This thread's work buffers for ``cube``: an antenna-major complex128
+    (virtual_rx, slow_time, range) cube and two float64 (Doppler, range)
+    maps; replaced only when a frame of another shape arrives, which discards
+    any rows done ahead."""
+    n_chirps, n_rx, n_range = cube.shape
+    shape = (num_tx * n_rx, n_chirps // num_tx, n_range)
     buffers = getattr(_thread, "workspace", None)
-    if buffers is None or buffers[0].shape != shape or buffers[1].shape != map_shape:
-        buffers = (np.empty(shape, np.complex128), np.empty(map_shape), np.empty(map_shape))
+    if buffers is None or buffers[0].shape != shape:
+        buffers = (np.empty(shape, np.complex128), np.empty(shape[1:]), np.empty(shape[1:]))
         _thread.workspace = buffers
         _thread.ahead = None
     return buffers
+
+
+def _range_stage(cfg: PipelineConfig, cube: DataCube, buf: np.ndarray,
+                 start: int, stop: int) -> None:
+    """The range stage of chirp rows ``start:stop`` of ``cube``, both
+    multiples of ``num_tx`` (whole slow-time rows), into their slow rows of
+    every antenna plane of ``buf``: one strided cast of the (slow, tx, rx,
+    sample) pairs, transposed to (virtual_rx, slow, sample), then the range
+    window and FFT."""
+    m = cfg.radar.num_tx
+    iq = cube.iq[start:stop]
+    n_slow, n_virtual = len(iq) // m, m * iq.shape[1]
+    pairs = iq.reshape(n_slow, n_virtual, *iq.shape[2:]).transpose(1, 0, 2, 3)
+    w = _shared_window(cfg.range_window, cfg.radar.samples_per_chirp)
+    _range_rows(pairs, w, buf[:, start // m:stop // m])
 
 
 def range_ahead(cfg: PipelineConfig, cube: DataCube, rows: int) -> None:
     """Range-process the first ``rows`` chirp rows of a frame still arriving.
 
     ``cube`` is the frame's cube, of which the first ``rows`` chirp rows are
-    final and never change. Their range FFT goes into this thread's cube
-    buffer, as ``process_frame`` computes it; rows done by an earlier call
-    for the same cube are not done again. ``process_frame`` of that cube, on
-    this thread, then does only the rows after them. Rows done are kept for
-    one cube at a time, which they hold by reference; the next frame that
-    ``process_frame`` runs, or a call for another cube, discards them.
+    final and never change. The range FFT of its whole slow-time rows among
+    them (``rows`` rounded down to a multiple of ``num_tx``) goes into this
+    thread's cube buffer, as ``process_frame`` computes it; rows done by an
+    earlier call for the same cube are not done again. ``process_frame`` of
+    that cube, on this thread, then does only the rows after them. Rows done
+    are kept for one cube at a time, which they hold by reference; the next
+    frame that ``process_frame`` runs, or a call for another cube, discards
+    them.
     """
-    radar = cfg.radar
-    buf = _workspace(cube.shape, (radar.chirps_per_frame_per_tx, radar.samples_per_chirp))[0]
+    buf = _workspace(cube, cfg.radar.num_tx)[0]
     done = _rows_done(cube, cfg.range_window)
+    rows -= rows % cfg.radar.num_tx
     if rows > done:
-        w = _shared_window(cfg.range_window, radar.samples_per_chirp)
-        _range_rows(cube.iq[done:rows], w, buf[done:rows])
+        _range_stage(cfg, cube, buf, done, rows)
         done = rows
     _thread.ahead = (cube, cfg.range_window, done)
 
@@ -284,14 +307,16 @@ def process_frame(cfg: PipelineConfig, cube: DataCube) -> FrameResult:
     """
     marks = [time.perf_counter()]
     try:
-        # The range cube becomes the range-Doppler cube in place, Doppler in
-        # FFT order; only the power map is shifted to centered order.
-        map_shape = (cube.shape[0] // cfg.radar.num_tx, cube.shape[-1])
-        buf, fft_order, centered = _workspace(cube.shape, map_shape)
-        range_cube = range_processing(cube, cfg.range_window, out=buf,
-                                      start=_rows_done(cube, cfg.range_window))
+        # The antenna-major range cube becomes the range-Doppler cube in
+        # place, Doppler in FFT order; only the power map is shifted to
+        # centered order.
+        buf, fft_order, centered = _workspace(cube, cfg.radar.num_tx)
+        _range_stage(cfg, cube, buf, _rows_done(cube, cfg.range_window), cube.shape[0])
         marks.append(time.perf_counter())
-        rd = _doppler_fft(range_cube, cfg.radar, cfg.doppler_window)
+        w = _shared_window(cfg.doppler_window, buf.shape[1])
+        np.multiply(buf, w[:, np.newaxis], out=buf)
+        np.fft.fft(buf, axis=1, out=buf)
+        rd = buf.transpose(1, 0, 2)  # (Doppler, virtual_rx, range)
         marks.append(time.perf_counter())
         # The map is accumulated in FFT order; centered's rows first hold
         # one antenna's |z|^2, then the centered map.

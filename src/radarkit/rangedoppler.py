@@ -3,6 +3,15 @@
 The forward FFT is unnormalized (no 1/N factor) throughout; range output is
 one-sided because samples are complex baseband. The Doppler axis of a
 RangeDopplerCube is centered so bin N_c/2 is zero velocity.
+
+The public functions keep the chirp-major shapes: ``range_processing``
+returns (chirp, rx, range) and ``doppler_processing`` a (doppler,
+virtual_rx, range) cube. ``pipeline.process_frame`` runs the same stages on
+an antenna-major (virtual_rx, slow_time, range) cube through the kernels
+here: ``_range_rows`` takes its pairs in any row order, and ``_accumulate``
+reads one antenna's (doppler, range) plane at a time, which that layout
+holds contiguously. Each transform is of one row or column, so either
+layout gives the same bytes.
 """
 
 from __future__ import annotations
@@ -76,11 +85,12 @@ def coherent_gain(kind: WindowKind, length: int) -> float:
 
 
 def _range_rows(iq: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """The range stage of whole chirp rows: cast the (chirp, rx, sample, 2)
-    pairs ``iq`` into ``out``, a C-contiguous complex128 array of their
-    (chirp, rx, sample) shape, window them there by ``w`` and FFT them in
-    place. Each row is transformed on its own, so any split of a cube into
-    row blocks gives the same bytes as the whole cube."""
+    """The range stage of whole chirp rows: cast the (..., sample, 2) pairs
+    ``iq`` into ``out``, a complex128 array of their (..., sample) shape
+    whose sample axis is contiguous, window them there by ``w`` and FFT them
+    in place. Each row is transformed on its own, so any split of a cube
+    into row blocks, and any order of its rows in ``out``, gives the same
+    bytes per row as the whole cube."""
     np.copyto(out.view(np.float64).reshape(iq.shape), iq)
     np.multiply(out, w, out=out)
     np.fft.fft(out, axis=-1, out=out)

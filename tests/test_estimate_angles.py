@@ -221,11 +221,18 @@ def test_capon_without_loading_on_noise_free_frame_names_frame():
 
 
 # sha256 over the names and bytes of the points CSV, RD CSV and RD PGM files
-# that `process` writes under the circular Doppler CFAR default.
+# that `process` writes under the circular Doppler CFAR default: every AoA
+# method, both accumulations, log-Gabor, and 1, 2 and 3 TX.
 # run_manifest.json is left out: it records the Python and numpy versions.
 GOLDEN_OUTPUTS = {
     "music": "bbd933c33e0aebed6ed31dda43a4786da02b976110c17e39bc7d4d26f173bc60",
     "capon": "ca83b219d31859160541a5fa89435d72a38f7ca94dae6f7a3241d58087829f9b",
+    "fft": "eb1e6ab46a91a51d81308752f7dcf86133d06b909bf3edccf55e6f373ea3a2cf",
+    "bartlett": "e473424e630a54727582deeca3b86c947f4ff38e45f4e99b67457fcafdd9568a",
+    "coherent_sum": "402d0c01224c1a34d0031ffbd890cfc38b336aa8f93f9e282ac09dc57be4659a",
+    "log_gabor": "bce18c36e510d47ce8b5a8503ba8ac12d041cf91c481deccb32c68f748cd1846",
+    "1tx": "947285d13619383e0f0634739ab1f8ff8084500587d28949774875afea16ecad",
+    "3tx": "754197ab2948cd08790f98f610db3fc169107efd1f3c8bfd378052aba707da98",
 }
 
 
@@ -254,17 +261,33 @@ def _outputs_sha256(out_dir) -> str:
     return h.hexdigest()
 
 
+def _radar_dict(num_tx: int) -> dict:
+    """C0 with ``num_tx`` transmitters and C0's slow-time period (2 x 60 us),
+    so the dense scene's velocities stay unambiguous."""
+    radar = {**c0_dict(), "num_tx": num_tx, "chirp_period_s": 120e-6 / num_tx}
+    if num_tx == 1:
+        del radar["tx_spacing_wavelengths"]
+    return radar
+
+
 def test_process_outputs_match_golden(tmp_path):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(_dense_scene()), encoding="utf-8")
     configs = {
         "music": {"radar": c0_dict(), "aoa_method": "music", "max_angles_per_detection": 2},
         "capon": {"radar": c0_dict(), "aoa_method": "capon"},
+        "fft": {"radar": c0_dict()},
+        "bartlett": {"radar": c0_dict(), "aoa_method": "bartlett",
+                     "max_angles_per_detection": 2},
+        "coherent_sum": {"radar": c0_dict(), "accumulation": "coherent_sum"},
+        "log_gabor": {"radar": c0_dict(), "log_gabor": {"enabled": True}},
+        "1tx": {"radar": _radar_dict(1)},
+        "3tx": {"radar": _radar_dict(3)},
     }
-    capture = tmp_path / "dense.orad"
     for name, config in configs.items():
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        capture = tmp_path / f"dense_{config['radar']['num_tx']}tx.orad"
         if not capture.exists():
             assert main(["simulate", "--config", str(cfg_path), "--scene",
                          str(scene_path), "--out", str(capture)]) == 0

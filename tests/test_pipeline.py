@@ -357,8 +357,9 @@ def test_wire_and_complex_cubes_give_the_reference_front_end(
     for cube in (complex_cube, wire_cube):
         result = process_frame(cfg, cube)
         # The range-Doppler cube stays in this thread's cube buffer, in FFT
-        # order along Doppler, until its next frame.
-        rd = radarkit.pipeline._thread.workspace[0].reshape(rd_ref.shape)
+        # order along Doppler, until its next frame; the buffer is
+        # antenna-major, (virtual_rx, Doppler, range).
+        rd = radarkit.pipeline._thread.workspace[0].transpose(1, 0, 2)
         # Bit for bit, signed zeros included.
         assert rd.tobytes() == np.fft.ifftshift(rd_ref, axes=0).tobytes()
         assert result.power_map_db.tobytes() == map_ref.tobytes()
@@ -692,6 +693,41 @@ def test_cli_listen_writes_each_frame_once_in_order(tmp_path, monkeypatch, capsy
     assert (out_dir / "run_manifest.json").is_file()
 
 
+def test_cli_listen_reports_the_frames_dropped_for_backpressure(tmp_path, monkeypatch,
+                                                                capsys):
+    # A queue of one frame, and a first frame that is processed only once
+    # all five frames are in: of frames 1-4, all but the newest are dropped.
+    monkeypatch.setattr(radarkit.capture, "_QUEUE_FRAMES", 1)
+    all_in = threading.Event()
+    hand_over = radarkit.capture._FrameStream._hand_over
+
+    def signalling_hand_over(self):
+        hand_over(self)
+        if self._cube.frame_index == 5:  # the frame after the last one
+            all_in.set()
+
+    process = radarkit.pipeline.process_frame
+
+    def stalled_process(cfg, cube):
+        if cube.frame_index == 0:
+            assert all_in.wait(timeout=30)
+        return process(cfg, cube)
+
+    monkeypatch.setattr(radarkit.capture._FrameStream, "_hand_over", signalling_hand_over)
+    monkeypatch.setattr(radarkit.pipeline, "process_frame", stalled_process)
+    out_dir = tmp_path / "live"
+    code, _ = _listen_to_replay(tmp_path, monkeypatch, out_dir, n_frames=5,
+                                listen_args=["--frames", "2"])
+    assert code == 0
+    written = sorted(int(p.name.split("_")[1]) for p in out_dir.glob("frame_*_points.csv"))
+    assert written == [0, 4]
+    out = [line for line in capsys.readouterr().out.splitlines()
+           if not line.startswith("replayed ")]  # listen's lines only
+    captured = out.index(f"captured 2 frames -> {out_dir}")
+    missing = written[-1] + 1 - len(written)
+    assert out[captured + 1] == f"{missing} frames dropped for backpressure"
+
+
 def test_cli_bench_table(tmp_path, capsys):
     cfg_path = tmp_path / "pipeline.json"
     _write_json(cfg_path, pipeline_dict(output_dir=str(tmp_path / "benchout")))
@@ -858,11 +894,37 @@ def test_rows_done_ahead_give_the_complete_frame_result(gap, data):
         buf[:arrived] = frame[:arrived]
         radarkit.pipeline.range_ahead(cfg, cube, arrived // row)
     buf[:] = frame
-    with mock.patch.object(radarkit.pipeline, "range_processing",
-                           wraps=radarkit.pipeline.range_processing) as range_stage:
+    with mock.patch.object(radarkit.pipeline, "_range_stage",
+                           wraps=radarkit.pipeline._range_stage) as range_stage:
         result = process_frame(cfg, cube)
-    assert range_stage.call_args.kwargs["start"] == (marks[-1] // row if marks else 0)
+    # Rows are done ahead in whole slow-time rows, pairs of chirp rows here.
+    done = marks[-1] // row // 2 * 2 if marks else 0
+    assert range_stage.call_args.args[3:] == (done, 64)
     _assert_same(cfg, result, reference)
+
+
+@settings(max_examples=30, deadline=None)
+@given(num_tx=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_rows_ahead_at_any_row_give_the_complete_frame_result(num_tx, seed, data):
+    # Row marks anywhere, also inside a slow-time row of 2 or 3 TX chirps.
+    radar = small_config(num_tx=num_tx, num_rx=2, chirps=8, samples=16)
+    cfg = PipelineConfig(radar=radar, range_cfar=CfarParams(guard_cells=1, train_cells=2),
+                         doppler_cfar=CfarParams(guard_cells=1, train_cells=1, circular=True))
+    frame = serialize_cube(synthesize_frame(
+        radar, [PointTarget(12.0, 1.0, 10.0, 500.0)], NoiseSpec(50.0, seed)))
+    reference = _reference(cfg, frame)
+    n_rows = 8 * num_tx
+    row = len(frame) // n_rows
+    marks = data.draw(st.lists(st.integers(0, n_rows), max_size=4))
+    if num_tx > 1:  # at least one mark that is not a multiple of num_tx
+        marks.append(data.draw(st.integers(0, 7)) * num_tx + data.draw(st.integers(1, num_tx - 1)))
+    buf = bytearray(len(frame))
+    cube = deinterleave(buf, radar, 0)
+    for rows in sorted(marks):
+        buf[:rows * row] = frame[:rows * row]
+        radarkit.pipeline.range_ahead(cfg, cube, rows)
+    buf[:] = frame
+    _assert_same(cfg, process_frame(cfg, cube), reference)
 
 
 def test_rows_done_ahead_stay_with_their_buffer():
@@ -899,15 +961,15 @@ def test_listen_consumer_processes_ahead_through_a_given_up_gap():
     stream = radarkit.capture._FrameStream(AHEAD_RADAR, window=4)
     ahead = functools.partial(radarkit.pipeline.range_ahead, cfg)
     results, starts = [], []
-    with mock.patch.object(radarkit.pipeline, "range_processing",
-                           wraps=radarkit.pipeline.range_processing) as range_stage:
+    with mock.patch.object(radarkit.pipeline, "_range_stage",
+                           wraps=radarkit.pipeline._range_stage) as range_stage:
         sent = [p.encode() for p in packets if p.seq != 66]
         for k in range(0, len(sent), 7):
             for datagram in sent[k:k + 7]:
                 stream._receive(datagram)
             for cube, _ in stream.frames(idle_timeout_s=0, on_rows=ahead):
                 results.append(process_frame(cfg, cube))
-                starts.append(range_stage.call_args.kwargs["start"])
+                starts.append(range_stage.call_args.args[3])
     assert [r.frame_index for r in results] == [0, 1, 2]
     assert all(0 < start < 64 for start in starts)
     for i, result in enumerate(results):
